@@ -27,7 +27,9 @@ __all__ = [
     "var_gain",
     "pointwise_variance",
     "normalized_tail_integral",
+    "corner_integrals",
     "rule_of_thumb_degree",
+    "balancing_degree",
     "optimal_degree",
     "mse_expansions",
     "asymptotic_report",
@@ -121,6 +123,23 @@ def rule_of_thumb_degree(n: int) -> int:
     return max(1, m)
 
 
+def corner_integrals(model, p: float, tol: float = 1e-9) -> tuple[float, float]:
+    """(B, V): normalized corner integrals of the bias and variance-gain
+    coefficients, the pair every expansion quantity below is built from."""
+    bias_term = normalized_tail_integral(lambda u, v: bias_coeff(model, u, v), p, tol)
+    gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p, tol)
+    return bias_term, gain_term
+
+
+def balancing_degree(bias_term: float, gain_term: float, n: int) -> float:
+    """{4 B^2 / V * n}^(2/3); DegenerateBiasError when B vanishes."""
+    if abs(bias_term) < 1e-12:
+        raise DegenerateBiasError(
+            "leading bias term vanishes; fall back to the n^(2/3) rule of thumb"
+        )
+    return (4.0 * bias_term**2 / gain_term * n) ** (2.0 / 3.0)
+
+
 def optimal_degree(model, p: float, n: int, tol: float = 1e-9) -> float:
     """MSE-balancing Bernstein degree {4 B^2 / V * n}^(2/3).
 
@@ -131,13 +150,7 @@ def optimal_degree(model, p: float, n: int, tol: float = 1e-9) -> float:
     """
     if n < 1:
         raise ValueError(f"sample size n={n} must be >= 1")
-    bias_term = normalized_tail_integral(lambda u, v: bias_coeff(model, u, v), p, tol)
-    if abs(bias_term) < 1e-12:
-        raise DegenerateBiasError(
-            "leading bias term vanishes; fall back to the n^(2/3) rule of thumb"
-        )
-    gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p, tol)
-    return (4.0 * bias_term**2 / gain_term * n) ** (2.0 / 3.0)
+    return balancing_degree(*corner_integrals(model, p, tol), n)
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,15 @@ class MseExpansion:
     difference: float
     mse_bernstein: float | None
     mse_empirical: float | None
+
+    @classmethod
+    def from_integrals(cls, bias_term, gain_term, n, m, limit_variance=None):
+        """Expansions at (n, m) from the corner integrals (B, V)."""
+        difference = -gain_term / (n * math.sqrt(m)) + (bias_term / m) ** 2
+        if limit_variance is None:
+            return cls(difference, None, None)
+        base = limit_variance / n
+        return cls(difference, base + difference, base)
 
 
 def mse_expansions(
@@ -171,17 +193,7 @@ def mse_expansions(
     """
     if m < 1:
         raise ValueError(f"degree m={m} must be >= 1")
-    bias_term = normalized_tail_integral(lambda u, v: bias_coeff(model, u, v), p, tol)
-    gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p, tol)
-    difference = -gain_term / (n * math.sqrt(m)) + (bias_term / m) ** 2
-    if limit_variance is None:
-        return MseExpansion(difference=difference, mse_bernstein=None, mse_empirical=None)
-    base = limit_variance / n
-    return MseExpansion(
-        difference=difference,
-        mse_bernstein=base + difference,
-        mse_empirical=base,
-    )
+    return MseExpansion.from_integrals(*corner_integrals(model, p, tol), n, m, limit_variance)
 
 
 @dataclass(frozen=True)
@@ -217,20 +229,19 @@ def asymptotic_report(
     Degenerate bias (independence) produces m_opt = None with a warning; the
     rule-of-thumb degree is always reported as the practical fallback.
     """
-    bias_term = normalized_tail_integral(lambda u, v: bias_coeff(model, u, v), p, tol)
-    gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p, tol)
+    bias_term, gain_term = corner_integrals(model, p, tol)
     rule_degree = rule_of_thumb_degree(n)
-    if abs(bias_term) < 1e-12:
+    try:
+        m_opt = balancing_degree(bias_term, gain_term, n)
+        m_for_mse = max(1, math.floor(m_opt))
+    except DegenerateBiasError:
         warnings.warn(
             "leading bias term vanishes; using the n^(2/3) rule of thumb",
             stacklevel=2,
         )
         m_opt = None
         m_for_mse = rule_degree
-    else:
-        m_opt = (4.0 * bias_term**2 / gain_term * n) ** (2.0 / 3.0)
-        m_for_mse = max(1, math.floor(m_opt))
-    expansion = mse_expansions(model, p, n, m_for_mse, limit_variance, tol)
+    expansion = MseExpansion.from_integrals(bias_term, gain_term, n, m_for_mse, limit_variance)
     return AsymptoticReport(
         p=p,
         n=n,

@@ -10,6 +10,7 @@ appear.  All commands are deterministic given identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -20,12 +21,10 @@ import numpy as np
 from . import mc
 from .asympt import (
     DegenerateBiasError,
-    bias_coeff,
-    mse_expansions,
-    normalized_tail_integral,
-    optimal_degree,
+    MseExpansion,
+    balancing_degree,
+    corner_integrals,
     rule_of_thumb_degree,
-    var_gain,
 )
 from .copula import TiesError, jitter_margin, pseudo_observations
 from .estimators import rho_hat_bernstein, rho_hat_empirical
@@ -41,9 +40,7 @@ SIMULATE_HEADER = (
     "theta,n,p,m,abs_bias_emp,abs_bias_bern,var_emp,var_bern,"
     "mse_emp,mse_bern,mse_reduction_pct"
 )
-SWEEP_HEADER = (
-    "theta,n,p,m,abs_bias_emp,abs_bias_bern,var_emp,var_bern,mse_emp,mse_bern"
-)
+SWEEP_HEADER = SIMULATE_HEADER.rsplit(",", 1)[0]
 
 
 class DataFileError(ValueError):
@@ -102,6 +99,15 @@ def _write_atomic(path: str, lines: list[str]) -> None:
         raise
 
 
+def _missing_out_dir(path: str | None) -> bool:
+    """True, with a message on stderr, if the directory of `path` is missing."""
+    directory = os.path.dirname(os.path.abspath(path)) if path else os.curdir
+    missing = not os.path.isdir(directory)
+    if missing:
+        print(f"error: output directory {directory} does not exist", file=sys.stderr)
+    return missing
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -128,24 +134,14 @@ def _degree_arg(text: str) -> str | int:
 
 
 def _summary_row(cell: mc.CellSummary, with_reduction: bool) -> str:
-    fields = [
-        _fmt(cell.theta),
-        str(cell.n),
-        _fmt(cell.p),
-        str(cell.m),
-        _fmt(cell.abs_bias_emp),
-        _fmt(cell.abs_bias_bern),
-        _fmt(cell.var_emp),
-        _fmt(cell.var_bern),
-        _fmt(cell.mse_emp),
-        _fmt(cell.mse_bern),
-    ]
-    if with_reduction:
-        fields.append(_fmt(cell.mse_reduction_pct))
-    return ",".join(fields)
+    """CSV row of the cell's fields in order: ints as is, floats via _fmt."""
+    fields = dataclasses.astuple(cell)[: None if with_reduction else -1]
+    return ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in fields)
 
 
 def cmd_estimate(args) -> int:
+    if _missing_out_dir(args.out):
+        return EXIT_USAGE
     try:
         x, y = load_pairs(args.input)
     except DataFileError as exc:
@@ -196,10 +192,13 @@ def cmd_simulate(args) -> int:
             reps=args.reps,
             seed=args.seed,
         )
+        workers = mc.resolve_workers()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    summaries = mc.run_table(config)
+    if _missing_out_dir(args.out):
+        return EXIT_USAGE
+    summaries = mc.run_table(config, workers=workers)
     lines = [SIMULATE_HEADER]
     lines += [_summary_row(cell, with_reduction=True) for cell in summaries]
     _write_atomic(args.out, lines)
@@ -208,6 +207,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if _missing_out_dir(args.out):
+        return EXIT_USAGE
     try:
         rows = mc.degree_sweep(
             args.theta,
@@ -234,12 +235,7 @@ def cmd_asympt(args) -> int:
         rule_m = rule_of_thumb_degree(args.n)
         # for this family the bias coefficient integrates to -2 * tail rho
         bias_closed = -2.0 * model.rho_tail_analytic(args.p)
-        bias_quad = normalized_tail_integral(
-            lambda u, v: bias_coeff(model, u, v), args.p
-        )
-        gain_quad = normalized_tail_integral(
-            lambda u, v: var_gain(model, u, v), args.p
-        )
+        bias_quad, gain_quad = corner_integrals(model, args.p)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -250,7 +246,7 @@ def cmd_asympt(args) -> int:
     print(f"bias integral (quadrature) = {_fmt(bias_quad)}")
     print(f"variance-gain integral = {_fmt(gain_quad)}")
     try:
-        m_opt = optimal_degree(model, args.p, args.n)
+        m_opt = balancing_degree(bias_quad, gain_quad, args.n)
         m_star = max(1, math.floor(m_opt))
         print(f"optimal degree = {_fmt(m_opt)} (floored: {m_star})")
     except DegenerateBiasError:
@@ -258,7 +254,7 @@ def cmd_asympt(args) -> int:
         print("optimal degree = undefined (bias term vanishes; using rule of thumb)")
     print(f"rule-of-thumb degree = {rule_m}")
     for label, m in (("optimal", m_star), ("rule-of-thumb", rule_m)):
-        diff = mse_expansions(model, args.p, args.n, m).difference
+        diff = MseExpansion.from_integrals(bias_quad, gain_quad, args.n, m).difference
         print(f"expansion MSE difference at {label} degree m={m}: {_fmt(diff)}")
     return EXIT_OK
 

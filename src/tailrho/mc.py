@@ -8,7 +8,8 @@ reductions run in fixed index order with compensated summation.  Output is
 therefore bit-identical for any worker count and any scheduling order.
 
 Worker count: pass `workers` explicitly, or set TAILRHO_THREADS (0 or unset
-means one worker per CPU).
+means one worker per usable CPU).  No more processes start than the CPUs this
+process may run on.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class CellSummary:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else TAILRHO_THREADS (0 = auto)."""
+    """Worker count: explicit argument, else TAILRHO_THREADS (0 = one per
+    usable CPU).  Returned as requested; `_pool_map` caps the processes."""
     if workers is None:
         raw = os.environ.get(THREADS_ENV, "0")
         try:
@@ -122,9 +124,24 @@ def resolve_workers(workers: int | None = None) -> int:
             raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from exc
     if workers < 0:
         raise ValueError(f"worker count {workers} must be >= 0")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
+    return workers or _usable_cpus()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_map(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], in a pool of at most `workers` processes,
+    one per task and one per usable CPU; in this process if that is one."""
+    workers = min(workers, len(tasks), _usable_cpus())
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _replicate_block(args) -> tuple[int, np.ndarray, np.ndarray]:
@@ -162,43 +179,40 @@ def _run_replicates(
     cell_index: int,
     workers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     emp = np.empty(reps)
     bern = np.empty((reps, len(m_values)))
-    block = max(1, -(-reps // max(workers * 4, 1)))
+    block = -(-reps // max(workers * 4, 1))
     tasks = [
         (theta, n, p, list(m_values), seed, cell_index, start, min(start + block, reps))
         for start in range(0, reps, block)
     ]
-    if workers == 1 or len(tasks) == 1:
-        results = map(_replicate_block, tasks)
-        for start, emp_blk, bern_blk in results:
-            emp[start : start + emp_blk.size] = emp_blk
-            bern[start : start + emp_blk.size] = bern_blk
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for start, emp_blk, bern_blk in pool.map(_replicate_block, tasks):
-                emp[start : start + emp_blk.size] = emp_blk
-                bern[start : start + emp_blk.size] = bern_blk
+    for start, emp_blk, bern_blk in _pool_map(_replicate_block, tasks, workers):
+        emp[start : start + emp_blk.size] = emp_blk
+        bern[start : start + emp_blk.size] = bern_blk
     return emp, bern
 
 
-def _summarize_pair(
-    emp: np.ndarray, bern: np.ndarray, true_rho: float
-) -> tuple[float, float, float | None, float | None, float, float, float | None]:
+def _summarize(
+    theta: float, n: int, p: float, m: int, emp: np.ndarray, bern: np.ndarray, true_rho: float
+) -> CellSummary:
+    """Reduce one cell's replicate values, in index order with math.fsum."""
     reps = emp.size
 
     def stats(x: np.ndarray) -> tuple[float, float | None, float]:
-        mean = math.fsum(x) / reps
-        var = (
-            math.fsum((xi - mean) ** 2 for xi in x) / (reps - 1) if reps > 1 else None
-        )
-        mse = math.fsum((xi - true_rho) ** 2 for xi in x) / reps
-        return abs(mean - true_rho), var, mse
+        # Squares go through Python's ** (the C library pow), not np.square:
+        # the two differ in the last bit of some elements, which can change
+        # the last bit of a sum and so the output bytes.
+        mean = math.fsum(x.tolist()) / reps
+        sq_dev = math.fsum([d**2 for d in (x - mean).tolist()])
+        sq_err = math.fsum([d**2 for d in (x - true_rho).tolist()])
+        var = sq_dev / (reps - 1) if reps > 1 else None
+        return abs(mean - true_rho), var, sq_err / reps
 
-    bias_e, var_e, mse_e = stats(emp)
-    bias_b, var_b, mse_b = stats(bern)
+    (bias_e, var_e, mse_e), (bias_b, var_b, mse_b) = stats(emp), stats(bern)
     reduction = 100.0 * (1.0 - mse_b / mse_e) if mse_e > 0.0 else None
-    return bias_e, bias_b, var_e, var_b, mse_e, mse_b, reduction
+    return CellSummary(theta, n, p, m, bias_e, bias_b, var_e, var_b, mse_e, mse_b, reduction)
 
 
 def run_cell(
@@ -216,22 +230,7 @@ def run_cell(
     workers = resolve_workers(workers)
     true_rho = FgmModel(theta).rho_tail_analytic(p)
     emp, bern = _run_replicates(theta, n, p, [m], reps, seed, cell_index, workers)
-    bias_e, bias_b, var_e, var_b, mse_e, mse_b, red = _summarize_pair(
-        emp, bern[:, 0], true_rho
-    )
-    return CellSummary(
-        theta=theta,
-        n=n,
-        p=p,
-        m=m,
-        abs_bias_emp=bias_e,
-        abs_bias_bern=bias_b,
-        var_emp=var_e,
-        var_bern=var_b,
-        mse_emp=mse_e,
-        mse_bern=mse_b,
-        mse_reduction_pct=red,
-    )
+    return _summarize(theta, n, p, m, emp, bern[:, 0], true_rho)
 
 
 def _cell_task(args) -> CellSummary:
@@ -259,10 +258,7 @@ def run_table(config: ExperimentConfig, *, workers: int | None = None) -> list[C
         (theta, n, p, config.degree_for(n), config.reps, config.seed, index)
         for index, (theta, n, p) in enumerate(config.cells())
     ]
-    if workers == 1 or len(tasks) == 1:
-        return [_cell_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_cell_task, tasks))
+    return _pool_map(_cell_task, tasks, workers)
 
 
 def degree_sweep(
@@ -289,27 +285,10 @@ def degree_sweep(
     m_values = list(range(m_min, m_max + 1))
     true_rho = FgmModel(theta).rho_tail_analytic(p)
     emp, bern = _run_replicates(theta, n, p, m_values, reps, seed, cell_index, workers)
-    rows = []
-    for j, m in enumerate(m_values):
-        bias_e, bias_b, var_e, var_b, mse_e, mse_b, red = _summarize_pair(
-            emp, bern[:, j], true_rho
-        )
-        rows.append(
-            CellSummary(
-                theta=theta,
-                n=n,
-                p=p,
-                m=m,
-                abs_bias_emp=bias_e,
-                abs_bias_bern=bias_b,
-                var_emp=var_e,
-                var_bern=var_b,
-                mse_emp=mse_e,
-                mse_bern=mse_b,
-                mse_reduction_pct=red,
-            )
-        )
-    return rows
+    return [
+        _summarize(theta, n, p, m, emp, bern[:, j], true_rho)
+        for j, m in enumerate(m_values)
+    ]
 
 
 def estimate_limit_variance(
@@ -330,7 +309,7 @@ def estimate_limit_variance(
     if reps < 2:
         raise ValueError("need at least two replicates for a variance")
     workers = resolve_workers(workers)
+    true_rho = FgmModel(theta).rho_tail_analytic(p)
     emp, _ = _run_replicates(theta, n, p, [], reps, seed, 0, workers)
-    mean = math.fsum(emp) / reps
-    var = math.fsum((x - mean) ** 2 for x in emp) / (reps - 1)
-    return n * var
+    # no smoothed estimator runs; the empirical values fill both columns
+    return n * _summarize(theta, n, p, 0, emp, emp, true_rho).var_emp

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tailrho import mc
 from tailrho.cli import main
 
 
@@ -267,3 +268,51 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+SIMULATE = ["simulate", "--theta", "0.5", "--n", "20", "--p", "0.5", "--reps", "5"]
+SWEEP = ["sweep", "--theta", "0.5", "--n", "20", "--p", "0.5", "--m-max", "3", "--reps", "5"]
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_zero_reps(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("TAILRHO_THREADS", threads)
+        out = tmp_path / "s.csv"
+        code = main(SWEEP[:-1] + ["0", "--out", str(out)])
+        assert code == 2
+        assert "reps must be >= 1" in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [SIMULATE, SWEEP])
+    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("TAILRHO_THREADS", "abc")
+        code = main(command + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "TAILRHO_THREADS" in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "command, engine", [(SIMULATE, "run_table"), (SWEEP, "degree_sweep")]
+    )
+    def test_missing_out_dir_checked_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command, engine
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(mc, engine, no_simulation)
+        code = main(command + ["--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert "does not exist" in one_error_line(capsys)
+
+    def test_estimate_missing_out_dir(self, comonotone_file, tmp_path, capsys):
+        code = main(["estimate", "--input", comonotone_file, "--p", "1.0",
+                     "--out", str(tmp_path / "missing" / "r.txt")])
+        assert code == 2
+        assert "does not exist" in one_error_line(capsys)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tailrho import (
@@ -10,6 +11,7 @@ from tailrho import (
     run_cell,
     run_table,
 )
+from tailrho import mc
 from tailrho.mc import resolve_workers
 
 
@@ -175,3 +177,94 @@ class TestLimitVariance:
     def test_needs_two_replicates(self):
         with pytest.raises(ValueError):
             estimate_limit_variance(0.0, 1.0, n=100, reps=1, seed=1)
+
+
+class TestReplicateCount:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_reps_rejected(self, workers):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            run_cell(0.5, 20, 0.5, 7, reps=0, seed=1, workers=workers)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            degree_sweep(0.5, 20, 0.5, 1, 3, reps=0, seed=1, workers=workers)
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def negate(x):
+    return -x
+
+
+class TestPoolCap:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """Three usable CPUs and a recording executor; yields the record."""
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "started", [])
+        return RecordingExecutor.started
+
+    @pytest.mark.parametrize(
+        "workers, tasks, started",
+        [(8, 10, [3]), (2, 10, [2]), (8, 2, [2]), (1, 10, []), (8, 1, [])],
+    )
+    def test_processes_capped(self, pool, workers, tasks, started):
+        assert mc._pool_map(negate, list(range(tasks)), workers) == [-t for t in range(tasks)]
+        assert pool == started
+
+    def test_single_usable_cpu_runs_in_process(self, pool, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert mc._pool_map(negate, [1, 2, 3], 4) == [-1, -2, -3]
+        assert pool == []
+
+    def test_auto_count_is_usable_cpus(self, pool, monkeypatch):
+        monkeypatch.setenv("TAILRHO_THREADS", "0")
+        assert resolve_workers() == 3
+        monkeypatch.setenv("TAILRHO_THREADS", "7")
+        assert resolve_workers() == 7  # the request is kept; only the pool is capped
+
+    def test_run_table_through_capped_pool(self, pool):
+        config = ExperimentConfig(
+            thetas=(-1.0, 1.0), ns=(15,), ps=(0.5, 1.0), reps=20, seed=8
+        )
+        assert run_table(config, workers=6) == run_table(config, workers=1)
+        assert pool == [3]
+
+
+def loop_stats(x, true_rho):
+    """The summary reduction as a loop over numpy scalars: the reference."""
+    reps = x.size
+    mean = math.fsum(x) / reps
+    var = math.fsum((xi - mean) ** 2 for xi in x) / (reps - 1) if reps > 1 else None
+    mse = math.fsum((xi - true_rho) ** 2 for xi in x) / reps
+    return abs(mean - true_rho), var, mse
+
+
+class TestSummaryReduction:
+    # with seed 971 np.square in place of ** changes mse_emp's last bit
+    # (x86-64 Linux), so that case tells the two apart
+    @pytest.mark.parametrize("seed, reps", [(971, 200), (5, 3000), (6, 2), (7, 1)])
+    def test_bit_identical_to_loop(self, seed, reps):
+        rng = np.random.default_rng(seed)
+        emp, bern = rng.uniform(-1, 1, reps), rng.uniform(-1, 1, reps)
+        cell = mc._summarize(0.5, 20, 0.5, 4, emp, bern, 0.1)
+        bias_e, var_e, mse_e = loop_stats(emp, 0.1)
+        bias_b, var_b, mse_b = loop_stats(bern, 0.1)
+        assert (cell.abs_bias_emp, cell.var_emp, cell.mse_emp) == (bias_e, var_e, mse_e)
+        assert (cell.abs_bias_bern, cell.var_bern, cell.mse_bern) == (bias_b, var_b, mse_b)
+        assert cell.mse_reduction_pct == 100.0 * (1.0 - mse_b / mse_e)
