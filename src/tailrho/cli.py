@@ -124,7 +124,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _degree_arg(text: str) -> str | int:
     if text in ("rule", "rule_of_thumb"):
-        return "rule"
+        return "rule_of_thumb"
     try:
         return int(text)
     except ValueError as exc:
@@ -164,7 +164,7 @@ def cmd_estimate(args) -> int:
     lines = [f"n = {ps.n}", f"p = {_fmt(args.p)}"]
     try:
         if args.method in ("bernstein", "both"):
-            m = rule_of_thumb_degree(ps.n) if args.degree == "rule" else args.degree
+            m = rule_of_thumb_degree(ps.n) if args.degree == "rule_of_thumb" else args.degree
             lines.append(f"m = {m}")
         if args.method in ("empirical", "both"):
             emp = rho_hat_empirical(ps, args.p)
@@ -188,7 +188,7 @@ def cmd_simulate(args) -> int:
             thetas=args.theta,
             ns=args.n,
             ps=args.p,
-            degree_rule="rule_of_thumb" if args.degree == "rule" else args.degree,
+            degree_rule=args.degree,
             reps=args.reps,
             seed=args.seed,
         )

@@ -48,6 +48,14 @@ class PseudoSample:
     def n(self) -> int:
         return self.u.size
 
+    def lattice_indices(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per margin, the first lattice index k with rank/d <= k/m.
+
+        That is ceil(rank*m/d), decided in exact integer arithmetic; every
+        index lies in 1..m.
+        """
+        return -((-self.ranks_x * m) // self.denom), -((-self.ranks_y * m) // self.denom)
+
 
 @dataclass(frozen=True)
 class CopulaGrid:
@@ -137,17 +145,15 @@ def copula_grid(ps: PseudoSample, m: int) -> CopulaGrid:
     """Empirical copula on the (m+1) x (m+1) lattice {0, 1/m, ..., 1}^2.
 
     Sorting is already paid for in the ranks, so the grid is assembled in
-    O(n + m^2) by bucketing each pair at the first lattice cell that counts
-    it and taking a two-dimensional prefix sum.  The comparison rank/n <= k/m
-    is decided in exact integer arithmetic.
+    O(n + m^2) by bucketing each pair at its lattice indices (the first cell
+    that counts it) and taking a two-dimensional prefix sum.  The estimators
+    never build it: it is the definition their rank-score form is tested
+    against.
     """
     if m < 1:
         raise ValueError(f"degree m={m} must be >= 1")
     n = ps.n
-    d = ps.denom
-    # first lattice index k with rank/d <= k/m, i.e. ceil(rank*m/d)
-    bx = -((-ps.ranks_x * m) // d)
-    by = -((-ps.ranks_y * m) // d)
+    bx, by = ps.lattice_indices(m)
     counts = np.bincount(bx * (m + 1) + by, minlength=(m + 1) ** 2)
     counts = counts.reshape(m + 1, m + 1)
     values = counts.cumsum(axis=0).cumsum(axis=1) / n

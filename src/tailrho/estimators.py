@@ -6,9 +6,12 @@ normalizer p^3/3 - p^4/4 so that perfect positive dependence scores 1.
 
 The empirical estimator never touches a quadrature rule: integrating the
 rank-based step function over the corner square collapses to the closed form
-(1/n) * sum_i max(0, p - U_i) * max(0, p - V_i).  The smoothed estimator
-likewise reduces to a double contraction of the copula grid with the tail
-weight vector.
+(1/n) * sum_i max(0, p - U_i) * max(0, p - V_i).  The smoothed estimator is
+by definition a double contraction of the copula grid with the tail weight
+vector; because the grid counts pairs, that contraction collapses to
+(1/n) * sum_i t(R_i) * t(S_i), with t the suffix sums of the weights taken at
+each rank's lattice index.  Both are linear rank statistics, evaluated in
+O(n + m) without building the grid.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import PseudoSample, copula_grid
+from .copula import PseudoSample
 from .quadrature import QuadratureError, integrate_square
 from .special import TailWeights, tail_weights
 
@@ -103,8 +106,11 @@ def rho_hat_bernstein(
     """Tail rho of the Bernstein-smoothed copula of degree m.
 
     The smoothed integral over [0, p]^2 is the copula grid contracted on both
-    axes with the tail weight vector; pass a precomputed `weights` to amortize
-    that vector across many samples sharing (p, m).
+    axes with the tail weight vector, w @ grid @ w.  Each pair adds 1/n to the
+    grid cells at or above its lattice indices (bx, by), so the contraction is
+    (1/n) * sum_i tail[bx_i] * tail[by_i] with tail[j] = sum_{k >= j} w_k,
+    and no grid is built.  Pass a precomputed `weights` to amortize the
+    weight vector across many samples sharing (p, m).
     """
     _check_p(p)
     if weights is None:
@@ -114,6 +120,7 @@ def rho_hat_bernstein(
             f"weights were built for (p={weights.p}, m={weights.m}), "
             f"not (p={p}, m={m})"
         )
-    grid = copula_grid(ps, m)
-    integral = float(weights.w @ grid.values @ weights.w)
+    tail = np.cumsum(weights.w[::-1])[::-1]
+    bx, by = ps.lattice_indices(m)
+    integral = float(tail[bx] @ tail[by]) / ps.n
     return _finish(integral, p, "bernstein", m)

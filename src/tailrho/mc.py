@@ -25,7 +25,7 @@ from .asympt import rule_of_thumb_degree
 from .copula import pseudo_observations
 from .estimators import rho_hat_bernstein, rho_hat_empirical
 from .fgm import FgmModel
-from .special import tail_weights
+from .special import MAX_DEGREE, tail_weights
 
 __all__ = [
     "DEFAULT_REPS",
@@ -77,8 +77,8 @@ class ExperimentConfig:
         if isinstance(self.degree_rule, str):
             if self.degree_rule != "rule_of_thumb":
                 raise ValueError(f"unknown degree rule {self.degree_rule!r}")
-        elif self.degree_rule < 1:
-            raise ValueError("fixed degree must be >= 1")
+        elif not 1 <= self.degree_rule <= MAX_DEGREE:
+            raise ValueError(f"fixed degree {self.degree_rule} outside 1..{MAX_DEGREE}")
 
     def degree_for(self, n: int) -> int:
         if self.degree_rule == "rule_of_thumb":
@@ -183,7 +183,8 @@ def _run_replicates(
         raise ValueError(f"reps must be >= 1, got {reps}")
     emp = np.empty(reps)
     bern = np.empty((reps, len(m_values)))
-    block = -(-reps // max(workers * 4, 1))
+    # four blocks per process that _pool_map will actually start
+    block = -(-reps // (4 * min(workers, _usable_cpus())))
     tasks = [
         (theta, n, p, list(m_values), seed, cell_index, start, min(start + block, reps))
         for start in range(0, reps, block)
@@ -279,8 +280,8 @@ def degree_sweep(
     the per-degree curves vary only through m; the empirical summary is
     repeated on every row for plotting convenience.
     """
-    if not 1 <= m_min <= m_max:
-        raise ValueError(f"need 1 <= m_min <= m_max, got {m_min}..{m_max}")
+    if not 1 <= m_min <= m_max <= MAX_DEGREE:
+        raise ValueError(f"need 1 <= m_min <= m_max <= {MAX_DEGREE}, got {m_min}..{m_max}")
     workers = resolve_workers(workers)
     m_values = list(range(m_min, m_max + 1))
     true_rho = FgmModel(theta).rho_tail_analytic(p)

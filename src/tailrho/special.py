@@ -16,12 +16,18 @@ import numpy as np
 from scipy import special as sp
 
 __all__ = [
+    "MAX_DEGREE",
     "TailWeights",
     "binomial_kernel",
     "kernel_vector",
     "incomplete_beta",
     "tail_weights",
 ]
+
+# Largest Bernstein degree accepted.  It bounds the O(m) weight vectors (about
+# 800 kB each at the cap) and exceeds the rule-of-thumb degree floor(n^(2/3))
+# for every n up to 3e7.
+MAX_DEGREE = 100_000
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,8 @@ def tail_weights(p: float, m: int) -> TailWeights:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"threshold p={p} outside (0, 1]")
-    if m < 1:
-        raise ValueError(f"degree m={m} must be >= 1")
+    if not 1 <= m <= MAX_DEGREE:
+        raise ValueError(f"degree m={m} outside 1..{MAX_DEGREE}")
     if p == 1.0:
         w = np.full(m + 1, 1.0 / (m + 1))
     else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailrho import mc
-from tailrho.cli import main
+from tailrho.cli import build_parser, main
 
 
 def write_file(path, text):
@@ -316,3 +316,27 @@ class TestFailFast:
                      "--out", str(tmp_path / "missing" / "r.txt")])
         assert code == 2
         assert "does not exist" in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--p", "0.5", "--degree", "100000000"],
+            SIMULATE + ["--degree", "100000000"],
+            SWEEP[:8] + ["100000000"] + SWEEP[9:],
+        ],
+    )
+    def test_degree_beyond_cap(self, comonotone_file, tmp_path, capsys, command):
+        if command[0] == "estimate":
+            command = command + ["--input", comonotone_file]
+        out = tmp_path / "x.csv"
+        code = main(command + ["--out", str(out)])
+        assert code == 2
+        assert "100000" in one_error_line(capsys)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [SIMULATE, ["estimate", "--input", "f", "--p", "0.5"]])
+@pytest.mark.parametrize("degree", [[], ["--degree", "rule"], ["--degree", "rule_of_thumb"]])
+def test_degree_rule_spelling(command, degree):
+    out = [] if command[0] == "estimate" else ["--out", "x.csv"]
+    assert build_parser().parse_args(command + degree + out).degree == "rule_of_thumb"

@@ -154,6 +154,19 @@ class TestCopulaGrid:
         assert np.allclose(g * n, np.round(g * n), atol=1e-9)
 
 
+class TestLatticeIndices:
+    @pytest.mark.parametrize("denominator", ["n", "n+1"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (20, 20), (9, 40)])
+    def test_first_lattice_point_at_or_above(self, denominator, n, m):
+        rng = np.random.default_rng(n + m)
+        ps = pseudo_observations(rng.random(n), rng.random(n), denominator=denominator)
+        for ranks, index in zip((ps.ranks_x, ps.ranks_y), ps.lattice_indices(m)):
+            # smallest k with rank/d <= k/m, found by integer search
+            expected = [min(k for k in range(m + 1) if r * m <= k * ps.denom) for r in ranks]
+            assert index.tolist() == expected
+            assert index.min() >= 1 and index.max() <= m
+
+
 class TestBernsteinCopula:
     def test_zero_edge(self):
         ps = pseudo_observations([1, 2, 3], [2, 3, 1])

@@ -15,6 +15,7 @@ from tailrho import (
     rho_hat_bernstein,
     rho_hat_empirical,
     rho_tail_population,
+    tail_weights,
 )
 from tailrho.quadrature import integrate_square
 
@@ -175,3 +176,35 @@ class TestBernsteinEstimator:
         res = rho_hat_bernstein(ps, p, m)
         assert res.value <= 1.0 + 1e-12
         assert res.value >= -3 * p / (4 - 3 * p) - 1e-12
+
+
+def grid_integral(ps, p, m):
+    """The smoothed corner integral by its definition, w @ grid @ w."""
+    w = tail_weights(p, m).w
+    return float(w @ copula_grid(ps, m).values @ w)
+
+
+class TestRankScoreForm:
+    """The rank-score evaluation against the (m+1)^2 grid contraction."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("denominator", ["n", "n+1"])
+    def test_matches_grid_contraction(self, seed, denominator):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        m = int(rng.integers(1, 80))
+        p = float(rng.uniform(0.01, 1.0))
+        ps = pseudo_observations(rng.random(n), rng.random(n), denominator=denominator)
+        got = rho_hat_bernstein(ps, p, m).integral
+        assert abs(got - grid_integral(ps, p, m)) <= 2e-15
+
+    @pytest.mark.parametrize("denominator", ["n", "n+1"])
+    @pytest.mark.parametrize(
+        "n, m, p",
+        [(1, 1, 0.5), (1, 7, 1.0), (3, 40, 0.3), (5, 200, 0.1), (30, 13, 1.0), (12, 1, 1.0)],
+    )
+    def test_edge_cases(self, denominator, n, m, p):
+        rng = np.random.default_rng(n * 1000 + m)
+        ps = pseudo_observations(rng.random(n), rng.random(n), denominator=denominator)
+        got = rho_hat_bernstein(ps, p, m).integral
+        assert abs(got - grid_integral(ps, p, m)) <= 2e-15

@@ -27,9 +27,9 @@ def digest(rows) -> str:
 GRID = ExperimentConfig(
     thetas=(-1.0, 0.0, 0.5), ns=(15, 40), ps=(0.1, 1.0), reps=40, seed=2024
 )
-GRID_DIGEST = "84cad2cd6f6767ccef6de6e54027e1ad6cc4f4573935be8424bb8afc7944f1d4"
-SWEEP_DIGEST = "0628ba32978f692ce6d1da8d32878e9d0992186c487d8da1e8e8ba0ad7b2c468"
-SINGLE_REP_DIGEST = "600f4f7bcf9bead5ce0d736147ec3304d1c599504d711363efc7c49ddb9be6fd"
+GRID_DIGEST = "09a0b8b849b9ae669221921029cc71ba0004b52da14ea63cffe429580f258863"
+SWEEP_DIGEST = "f5c88dcecd9c770cb720236d374e278b1174be697274181053ea1427f5457fcb"
+SINGLE_REP_DIGEST = "b8f5515ed6a076d19951360715d0705d25c7362faee3dcdf583e9b10abca33a4"
 LIMIT_VARIANCE_DIGEST = "b7248fb057f4d711af18e521b3e5cbdf1b9d2f9f616b4f70e40e95ca36f93c96"
 
 

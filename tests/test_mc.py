@@ -13,6 +13,7 @@ from tailrho import (
 )
 from tailrho import mc
 from tailrho.mc import resolve_workers
+from tailrho.special import MAX_DEGREE
 
 
 class TestConfig:
@@ -179,6 +180,17 @@ class TestLimitVariance:
             estimate_limit_variance(0.0, 1.0, n=100, reps=1, seed=1)
 
 
+class TestDegreeCap:
+    def test_fixed_degree_capped(self):
+        ExperimentConfig(thetas=(0.0,), ns=(50,), ps=(0.5,), degree_rule=MAX_DEGREE)
+        with pytest.raises(ValueError, match="outside 1..100000"):
+            ExperimentConfig(thetas=(0.0,), ns=(50,), ps=(0.5,), degree_rule=MAX_DEGREE + 1)
+
+    def test_sweep_degree_capped(self):
+        with pytest.raises(ValueError, match="m_max <= 100000"):
+            degree_sweep(0.5, 20, 0.5, 1, 10**8, reps=5, seed=1, workers=1)
+
+
 class TestReplicateCount:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_reps_rejected(self, workers):
@@ -244,6 +256,22 @@ class TestPoolCap:
         )
         assert run_table(config, workers=6) == run_table(config, workers=1)
         assert pool == [3]
+
+    def test_blocks_sized_from_started_processes(self, pool, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        task_counts = []
+        pool_map = mc._pool_map
+
+        def recording_pool_map(fn, tasks, workers):
+            task_counts.append(len(tasks))
+            return pool_map(fn, tasks, workers)
+
+        monkeypatch.setattr(mc, "_pool_map", recording_pool_map)
+        wide = degree_sweep(0.5, 15, 0.5, 1, 4, reps=1000, seed=3, workers=64)
+        assert task_counts == [8]  # four blocks for each of the two processes
+        assert wide == degree_sweep(0.5, 15, 0.5, 1, 4, reps=1000, seed=3, workers=2)
+        assert task_counts == [8, 8]
+        assert pool == [2, 2]
 
 
 def loop_stats(x, true_rho):

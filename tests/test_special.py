@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from tailrho import binomial_kernel, incomplete_beta, kernel_vector, tail_weights
+from tailrho.special import MAX_DEGREE
 
 
 def simpson_incomplete_beta(x, a, b, panels=200_000):
@@ -187,3 +188,16 @@ class TestTailWeights:
         tw = tail_weights(p, m)
         assert np.all(tw.w >= 0.0)
         assert math.fsum(tw.w) == pytest.approx(p, abs=1e-12)
+
+
+class TestDegreeCap:
+    def test_largest_degree_accepted(self):
+        w = tail_weights(0.3, MAX_DEGREE).w
+        assert w.size == MAX_DEGREE + 1
+        assert abs(w.sum() - 0.3) < 1e-14
+
+    def test_beyond_cap_rejected(self):
+        with pytest.raises(ValueError, match="outside 1..100000"):
+            tail_weights(0.5, MAX_DEGREE + 1)
+        with pytest.raises(ValueError, match="outside 1..100000"):
+            tail_weights(0.5, 10**8)
