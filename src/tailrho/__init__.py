@@ -50,8 +50,6 @@ from .mc import (
 )
 from .special import (
     TailWeights,
-    binomial_kernel,
-    incomplete_beta,
     kernel_vector,
     tail_weights,
 )
@@ -74,12 +72,10 @@ __all__ = [
     "asymptotic_report",
     "bernstein_copula",
     "bias_coeff",
-    "binomial_kernel",
     "copula_grid",
     "degree_sweep",
     "empirical_copula",
     "estimate_limit_variance",
-    "incomplete_beta",
     "jitter_margin",
     "kernel_vector",
     "mse_expansions",

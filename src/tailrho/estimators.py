@@ -120,7 +120,6 @@ def rho_hat_bernstein(
             f"weights were built for (p={weights.p}, m={weights.m}), "
             f"not (p={p}, m={m})"
         )
-    tail = np.cumsum(weights.w[::-1])[::-1]
     bx, by = ps.lattice_indices(m)
-    integral = float(tail[bx] @ tail[by]) / ps.n
+    integral = float(weights.tail[bx] @ weights.tail[by]) / ps.n
     return _finish(integral, p, "bernstein", m)

@@ -7,9 +7,12 @@ keys, replicate results land in preallocated slot arrays by index, and all
 reductions run in fixed index order with compensated summation.  Output is
 therefore bit-identical for any worker count and any scheduling order.
 
-Worker count: pass `workers` explicitly, or set TAILRHO_THREADS (0 or unset
-means one worker per usable CPU).  No more processes start than the CPUs this
-process may run on.
+Every entry point (a grid, one cell, a degree sweep, the limit variance)
+cuts its cells into replicate blocks and sends all of them through one
+process pool, so a single cell uses every CPU too; the summaries are
+reduced in this process.  Worker count: pass `workers` explicitly, or set
+TAILRHO_THREADS (0 or unset means one worker per usable CPU).  No more
+processes start than the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .asympt import rule_of_thumb_degree
 from .copula import pseudo_observations
-from .estimators import rho_hat_bernstein, rho_hat_empirical
+from .estimators import P_MIN, rho_hat_bernstein, rho_hat_empirical
 from .fgm import FgmModel
 from .special import MAX_DEGREE, tail_weights
 
@@ -66,12 +69,12 @@ class ExperimentConfig:
         object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
         if not self.thetas or not self.ns or not self.ps:
             raise ValueError("thetas, ns and ps must all be nonempty")
-        if any(abs(t) > 1.0 for t in self.thetas):
+        if not all(abs(t) <= 1.0 for t in self.thetas):  # NaN fails too
             raise ValueError("every theta must lie in [-1, 1]")
         if any(n < 1 for n in self.ns):
             raise ValueError("every sample size must be >= 1")
-        if any(not 0.0 < p <= 1.0 for p in self.ps):
-            raise ValueError("every threshold must lie in (0, 1]")
+        if any(not P_MIN < p <= 1.0 for p in self.ps):
+            raise ValueError(f"every threshold must lie in ({P_MIN:g}, 1]")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if isinstance(self.degree_rule, str):
@@ -144,55 +147,73 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _replicate_block(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """Run replicates [start, stop) of one cell; returns slot-indexed arrays.
+def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
+    """Run replicates [start, stop) of one cell; returns their values in order.
 
     Each replicate draws a fresh FGM sample, rank-transforms it with the
     boundary-avoiding rank/(n+1) scaling standard rank-copula software
     applies, and evaluates the empirical estimator plus the smoothed
     estimator at every requested degree (the same sample serves all degrees:
-    common random numbers).
+    common random numbers).  A failure is re-raised with the cell's
+    (theta, n, p) attached.
     """
-    theta, n, p, m_values, seed, cell_index, start, stop = args
-    model = FgmModel(theta)
-    weight_vectors = [tail_weights(p, m) for m in m_values]
-    emp = np.empty(stop - start)
-    bern = np.empty((stop - start, len(m_values)))
-    for i, rep in enumerate(range(start, stop)):
-        seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep))
-        rng = np.random.default_rng(seq)
-        xy = model.sample(n, rng)
-        ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
-        emp[i] = rho_hat_empirical(ps, p).value
-        for j, (m, w) in enumerate(zip(m_values, weight_vectors)):
-            bern[i, j] = rho_hat_bernstein(ps, p, m, weights=w).value
-    return start, emp, bern
+    (theta, n, p, m_values, cell_index), seed, start, stop = args
+    try:
+        model = FgmModel(theta)
+        weight_vectors = [tail_weights(p, m) for m in m_values]
+        emp = np.empty(stop - start)
+        bern = np.empty((stop - start, len(m_values)))
+        for i, rep in enumerate(range(start, stop)):
+            seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep))
+            rng = np.random.default_rng(seq)
+            xy = model.sample(n, rng)
+            ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
+            emp[i] = rho_hat_empirical(ps, p).value
+            for j, (m, w) in enumerate(zip(m_values, weight_vectors)):
+                bern[i, j] = rho_hat_bernstein(ps, p, m, weights=w).value
+    except Exception as exc:
+        raise RuntimeError(
+            f"simulation cell (theta={theta}, n={n}, p={p}) failed: {exc}"
+        ) from exc
+    return emp, bern
 
 
-def _run_replicates(
-    theta: float,
-    n: int,
-    p: float,
-    m_values: list[int],
-    reps: int,
-    seed: int,
-    cell_index: int,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _true_rho(theta: float, n: int, p: float) -> float:
+    """Check one cell's inputs; returns its true tail rho."""
+    if n < 1:
+        raise ValueError(f"sample size n={n} must be >= 1")
+    return FgmModel(theta).rho_tail_analytic(p)  # checks theta and p
+
+
+def _simulate(
+    cells: list[tuple], reps: int, seed: int, workers: int
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(true rho, emp, bern) of every cell, in cell order.
+
+    A cell is (theta, n, p, m_values, cell_index); bern has one column per
+    degree in m_values.  Every cell is checked before any work.  Each cell is
+    cut into replicate blocks, about four per process for the whole job and
+    never spanning two cells, and all the blocks go through one pool; each
+    block's values land in its cell's slots.
+    """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    emp = np.empty(reps)
-    bern = np.empty((reps, len(m_values)))
-    # four blocks per process that _pool_map will actually start
-    block = -(-reps // (4 * min(workers, _usable_cpus())))
-    tasks = [
-        (theta, n, p, list(m_values), seed, cell_index, start, min(start + block, reps))
+    truths = [_true_rho(theta, n, p) for theta, n, p, _, _ in cells]
+    processes = min(workers, _usable_cpus())
+    block = min(reps, -(-reps * len(cells) // (4 * processes)))
+    spans = [
+        (k, start, min(start + block, reps))
+        for k in range(len(cells))
         for start in range(0, reps, block)
     ]
-    for start, emp_blk, bern_blk in _pool_map(_replicate_block, tasks, workers):
-        emp[start : start + emp_blk.size] = emp_blk
-        bern[start : start + emp_blk.size] = bern_blk
-    return emp, bern
+    tasks = [(cells[k], seed, start, stop) for k, start, stop in spans]
+    emps = [np.empty(reps) for _ in cells]
+    berns = [np.empty((reps, len(cell[3]))) for cell in cells]
+    blocks = _pool_map(_replicate_block, tasks, workers)
+    for (k, start, stop), (emp, bern) in zip(spans, blocks):
+        emps[k][start:stop] = emp
+        berns[k][start:stop] = bern
+    return list(zip(truths, emps, berns))
 
 
 def _summarize(
@@ -229,37 +250,27 @@ def run_cell(
 ) -> CellSummary:
     """Simulate one (theta, n, p, m) cell and summarize both estimators."""
     workers = resolve_workers(workers)
-    true_rho = FgmModel(theta).rho_tail_analytic(p)
-    emp, bern = _run_replicates(theta, n, p, [m], reps, seed, cell_index, workers)
+    [(true_rho, emp, bern)] = _simulate([(theta, n, p, [m], cell_index)], reps, seed, workers)
     return _summarize(theta, n, p, m, emp, bern[:, 0], true_rho)
-
-
-def _cell_task(args) -> CellSummary:
-    theta, n, p, m, reps, seed, cell_index = args
-    try:
-        return run_cell(
-            theta, n, p, m, reps=reps, seed=seed, cell_index=cell_index, workers=1
-        )
-    except Exception as exc:
-        raise RuntimeError(
-            f"simulation cell (theta={theta}, n={n}, p={p}) failed: {exc}"
-        ) from exc
 
 
 def run_table(config: ExperimentConfig, *, workers: int | None = None) -> list[CellSummary]:
     """Run every cell of the grid; rows come back in grid order.
 
     A cell failure is re-raised with the offending (theta, n, p) attached.
-    Cells are farmed out whole to worker processes; each cell's replicates use
-    streams keyed by its grid position, so the output is independent of how
-    cells are distributed.
+    Each cell's replicates use streams keyed by its grid position, so the
+    output is independent of how the replicate blocks are distributed.
     """
     workers = resolve_workers(workers)
-    tasks = [
-        (theta, n, p, config.degree_for(n), config.reps, config.seed, index)
+    cells = [
+        (theta, n, p, [config.degree_for(n)], index)
         for index, (theta, n, p) in enumerate(config.cells())
     ]
-    return _pool_map(_cell_task, tasks, workers)
+    values = _simulate(cells, config.reps, config.seed, workers)
+    return [
+        _summarize(theta, n, p, m, emp, bern[:, 0], true_rho)
+        for (theta, n, p, [m], _), (true_rho, emp, bern) in zip(cells, values)
+    ]
 
 
 def degree_sweep(
@@ -284,8 +295,7 @@ def degree_sweep(
         raise ValueError(f"need 1 <= m_min <= m_max <= {MAX_DEGREE}, got {m_min}..{m_max}")
     workers = resolve_workers(workers)
     m_values = list(range(m_min, m_max + 1))
-    true_rho = FgmModel(theta).rho_tail_analytic(p)
-    emp, bern = _run_replicates(theta, n, p, m_values, reps, seed, cell_index, workers)
+    [(true_rho, emp, bern)] = _simulate([(theta, n, p, m_values, cell_index)], reps, seed, workers)
     return [
         _summarize(theta, n, p, m, emp, bern[:, j], true_rho)
         for j, m in enumerate(m_values)
@@ -310,7 +320,6 @@ def estimate_limit_variance(
     if reps < 2:
         raise ValueError("need at least two replicates for a variance")
     workers = resolve_workers(workers)
-    true_rho = FgmModel(theta).rho_tail_analytic(p)
-    emp, _ = _run_replicates(theta, n, p, [], reps, seed, 0, workers)
+    [(true_rho, emp, _)] = _simulate([(theta, n, p, [], 0)], reps, seed, workers)
     # no smoothed estimator runs; the empirical values fill both columns
     return n * _summarize(theta, n, p, 0, emp, emp, true_rho).var_emp

@@ -1,5 +1,5 @@
-"""Special functions: binomial kernels, the incomplete beta integral, and the
-tail-integration weight vector.
+"""Special functions: Bernstein basis vectors and the tail-integration weight
+vector.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.  The weight computation avoids the classic overflow/underflow
@@ -13,14 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 __all__ = [
     "MAX_DEGREE",
     "TailWeights",
-    "binomial_kernel",
     "kernel_vector",
-    "incomplete_beta",
     "tail_weights",
 ]
 
@@ -37,6 +34,9 @@ class TailWeights:
     Contracting a grid of copula values at (k/m, l/m) with this vector on both
     axes integrates the degree-m Bernstein smoother exactly over [0, p]^2.
 
+    `tail` holds the suffix sums tail[j] = sum_{k >= j} w_k, the per-rank
+    scores of the smoothed estimator.
+
     Invariants: all w_k >= 0, sum(w) == p, and for p == 1 every entry equals
     1/(m+1).
     """
@@ -44,34 +44,7 @@ class TailWeights:
     p: float
     m: int
     w: np.ndarray
-
-
-def binomial_kernel(k: int, m: int, w: float) -> float:
-    """Bernstein basis polynomial C(m,k) w^k (1-w)^(m-k).
-
-    Stable for degrees up to (at least) m = 1000: the direct product is used
-    while the binomial coefficient fits in a double and the power factors stay
-    clear of the subnormal range; otherwise the whole product is assembled in
-    log space.
-    """
-    if not 0 <= k <= m:
-        raise ValueError(f"index k={k} outside 0..{m}")
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"evaluation point w={w} outside [0, 1]")
-    if w == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if w == 1.0:
-        return 1.0 if k == m else 0.0
-    log_pow = k * math.log(w) + (m - k) * math.log1p(-w)
-    if log_pow > -690.0:
-        try:
-            coeff = float(math.comb(m, k))
-        except OverflowError:
-            coeff = None
-        if coeff is not None:
-            return coeff * w**k * (1.0 - w) ** (m - k)
-    log_coeff = math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-    return math.exp(log_coeff + log_pow)
+    tail: np.ndarray
 
 
 def _binom_pmf(n_trials: int, prob: float) -> np.ndarray:
@@ -111,20 +84,6 @@ def kernel_vector(m: int, w: float) -> np.ndarray:
     return _binom_pmf(m, w)
 
 
-def incomplete_beta(x: float, a: float, b: float) -> float:
-    """Unnormalized incomplete beta: integral of t^(a-1) (1-t)^(b-1) over [0, x].
-
-    Nondecreasing in x, with the complete beta function recovered at x = 1.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"upper limit x={x} outside [0, 1]")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if x == 0.0:
-        return 0.0
-    return float(sp.betainc(a, b, x)) * math.exp(float(sp.betaln(a, b)))
-
-
 def tail_weights(p: float, m: int) -> TailWeights:
     """Weight vector w_k = C(m,k) * ibeta(p, k+1, m-k+1), k = 0..m.
 
@@ -144,4 +103,4 @@ def tail_weights(p: float, m: int) -> TailWeights:
         pmf = _binom_pmf(m + 1, p)
         survival = np.cumsum(pmf[::-1])[::-1]
         w = survival[1:] / (m + 1)
-    return TailWeights(p=p, m=m, w=w)
+    return TailWeights(p=p, m=m, w=w, tail=np.cumsum(w[::-1])[::-1])

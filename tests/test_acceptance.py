@@ -26,7 +26,7 @@ from tailrho import (
     rule_of_thumb_degree,
     tail_weights,
 )
-from tailrho.mc import ExperimentConfig, _run_replicates, run_table
+from tailrho.mc import ExperimentConfig, _simulate, run_table
 
 THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PS = (0.1, 0.5, 1.0)
@@ -248,7 +248,7 @@ class TestAsymptoticSuite:
             medians = []
             for n in (50, 200, 800):
                 m = rule_of_thumb_degree(n)
-                _, bern = _run_replicates(theta, n, p, [m], 200, 4242, 0, 2)
+                [(_, _, bern)] = _simulate([(theta, n, p, [m], 0)], 200, 4242, 2)
                 medians.append(float(np.median(np.abs(bern[:, 0] - true_rho))))
             details.append(f"p={p}: " + " > ".join(f"{v:.4f}" for v in medians))
             ok = ok and medians[0] > medians[1] > medians[2]
@@ -258,7 +258,7 @@ class TestAsymptoticSuite:
         theta, p, n, reps = 0.5, 0.5, 2000, 5000
         m = rule_of_thumb_degree(n)
         model = FgmModel(theta)
-        _, bern = _run_replicates(theta, n, p, [m], reps, 777, 0, 2)
+        [(_, _, bern)] = _simulate([(theta, n, p, [m], 0)], reps, 777, 2)
         z = math.sqrt(n) * (bern[:, 0] - model.rho_tail_analytic(p))
         skew = float(stats.skew(z))
         kurt = float(stats.kurtosis(z))

@@ -311,6 +311,31 @@ class TestFailFast:
         assert code == 2
         assert "does not exist" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", [SIMULATE, SWEEP])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--p", "1e-7", "(1e-06, 1]"),
+            ("--p", "1e-6", "(1e-06, 1]"),
+            ("--n", "0", ">= 1"),
+            ("--theta", "nan", "[-1, 1]"),
+        ],
+    )
+    def test_cell_checked_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command, flag, value, message
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replicates were scheduled")
+
+        monkeypatch.setattr(mc, "_pool_map", no_pool)
+        command = list(command)
+        command[command.index(flag) + 1] = value
+        out = tmp_path / "x.csv"
+        code = main(command + ["--out", str(out)])
+        assert code == 2
+        assert message in one_error_line(capsys)
+        assert not out.exists()
+
     def test_estimate_missing_out_dir(self, comonotone_file, tmp_path, capsys):
         code = main(["estimate", "--input", comonotone_file, "--p", "1.0",
                      "--out", str(tmp_path / "missing" / "r.txt")])

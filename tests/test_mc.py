@@ -12,6 +12,8 @@ from tailrho import (
     run_table,
 )
 from tailrho import mc
+from tailrho.estimators import P_MIN
+from tailrho.fgm import FgmModel
 from tailrho.mc import resolve_workers
 from tailrho.special import MAX_DEGREE
 
@@ -50,6 +52,14 @@ class TestConfig:
             ExperimentConfig(thetas=(0.0,), ns=(50,), ps=(0.5,), reps=0)
         with pytest.raises(ValueError):
             ExperimentConfig(thetas=(0.0,), ns=(50,), ps=(0.5,), degree_rule="median")
+
+    @pytest.mark.parametrize("p", [P_MIN, 1e-7, 0.0, -0.5, 1.5, math.nan])
+    def test_threshold_domain(self, p):
+        with pytest.raises(ValueError, match=r"threshold"):
+            ExperimentConfig(thetas=(0.0,), ns=(50,), ps=(0.5, p))
+        with pytest.raises(ValueError, match=r"outside \(1e-06, 1\]"):
+            degree_sweep(0.0, 50, p, 1, 3, reps=5, seed=1, workers=1)
+        ExperimentConfig(thetas=(0.0,), ns=(50,), ps=(2 * P_MIN, 1.0))
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("TAILRHO_THREADS", "3")
@@ -200,6 +210,33 @@ class TestReplicateCount:
             degree_sweep(0.5, 20, 0.5, 1, 3, reps=0, seed=1, workers=workers)
 
 
+class TestFailureContext:
+    """A failing replicate names its cell, whichever entry point ran it."""
+
+    CONTEXT = r"simulation cell \(theta=0.5, n=20, p=0.25\) failed: sampler broke"
+
+    @pytest.fixture(autouse=True)
+    def failing_sampler(self, monkeypatch):
+        def sample(self, n, rng):
+            raise FloatingPointError("sampler broke")
+
+        monkeypatch.setattr(FgmModel, "sample", sample)
+
+    def test_run_cell(self):
+        with pytest.raises(RuntimeError, match=self.CONTEXT):
+            run_cell(0.5, 20, 0.25, 7, reps=5, seed=1, workers=1)
+
+    def test_degree_sweep(self):
+        with pytest.raises(RuntimeError, match=self.CONTEXT):
+            degree_sweep(0.5, 20, 0.25, 1, 3, reps=5, seed=1, workers=1)
+
+    def test_run_table(self):
+        config = ExperimentConfig(thetas=(0.5,), ns=(20,), ps=(0.25,), reps=5, seed=1)
+        with pytest.raises(RuntimeError, match=self.CONTEXT) as info:
+            run_table(config, workers=1)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
 
@@ -231,6 +268,20 @@ class TestPoolCap:
         monkeypatch.setattr(RecordingExecutor, "started", [])
         return RecordingExecutor.started
 
+    @pytest.fixture
+    def task_counts(self, monkeypatch):
+        """Two usable CPUs; records the task count of every _pool_map call."""
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        counts = []
+        pool_map = mc._pool_map
+
+        def recording_pool_map(fn, tasks, workers):
+            counts.append(len(tasks))
+            return pool_map(fn, tasks, workers)
+
+        monkeypatch.setattr(mc, "_pool_map", recording_pool_map)
+        return counts
+
     @pytest.mark.parametrize(
         "workers, tasks, started",
         [(8, 10, [3]), (2, 10, [2]), (8, 2, [2]), (1, 10, []), (8, 1, [])],
@@ -257,21 +308,30 @@ class TestPoolCap:
         assert run_table(config, workers=6) == run_table(config, workers=1)
         assert pool == [3]
 
-    def test_blocks_sized_from_started_processes(self, pool, monkeypatch):
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        task_counts = []
-        pool_map = mc._pool_map
-
-        def recording_pool_map(fn, tasks, workers):
-            task_counts.append(len(tasks))
-            return pool_map(fn, tasks, workers)
-
-        monkeypatch.setattr(mc, "_pool_map", recording_pool_map)
+    def test_blocks_sized_from_started_processes(self, pool, task_counts):
         wide = degree_sweep(0.5, 15, 0.5, 1, 4, reps=1000, seed=3, workers=64)
         assert task_counts == [8]  # four blocks for each of the two processes
         assert wide == degree_sweep(0.5, 15, 0.5, 1, 4, reps=1000, seed=3, workers=2)
         assert task_counts == [8, 8]
         assert pool == [2, 2]
+
+    def test_one_cell_table_uses_every_process(self, pool, task_counts):
+        config = ExperimentConfig(
+            thetas=(0.5,), ns=(15,), ps=(0.5,), degree_rule=4, reps=100, seed=3
+        )
+        wide = run_table(config, workers=2)
+        assert task_counts == [8]  # four blocks for each of the two processes
+        assert pool == [2]
+        assert wide == [run_cell(0.5, 15, 0.5, 4, reps=100, seed=3, workers=1)]
+
+    def test_grid_blocks_never_span_cells(self, pool, task_counts):
+        config = ExperimentConfig(
+            thetas=(-1.0, 0.0, 1.0), ns=(15, 30), ps=(0.1, 0.5, 1.0), reps=6, seed=8
+        )
+        wide = run_table(config, workers=2)
+        assert task_counts == [18]  # one block per cell: 18 cells outnumber 4 per process
+        assert pool == [2]
+        assert wide == run_table(config, workers=1)
 
 
 def loop_stats(x, true_rho):

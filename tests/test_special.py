@@ -5,9 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special as sp
 
-from tailrho import binomial_kernel, incomplete_beta, kernel_vector, tail_weights
+from tailrho import kernel_vector, tail_weights
 from tailrho.special import MAX_DEGREE
+
+
+def binomial_kernel(k: int, m: int, w: float) -> float:
+    """Bernstein basis polynomial C(m,k) w^k (1-w)^(m-k): kernel_vector's
+    scalar oracle.
+
+    Stable for degrees up to (at least) m = 1000: the direct product is used
+    while the binomial coefficient fits in a double and the power factors stay
+    clear of the subnormal range; otherwise the whole product is assembled in
+    log space.
+    """
+    if not 0 <= k <= m:
+        raise ValueError(f"index k={k} outside 0..{m}")
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"evaluation point w={w} outside [0, 1]")
+    if w == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if w == 1.0:
+        return 1.0 if k == m else 0.0
+    log_pow = k * math.log(w) + (m - k) * math.log1p(-w)
+    if log_pow > -690.0:
+        try:
+            coeff = float(math.comb(m, k))
+        except OverflowError:
+            coeff = None
+        if coeff is not None:
+            return coeff * w**k * (1.0 - w) ** (m - k)
+    log_coeff = math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+    return math.exp(log_coeff + log_pow)
+
+
+def incomplete_beta(x: float, a: float, b: float) -> float:
+    """Unnormalized incomplete beta: integral of t^(a-1) (1-t)^(b-1) over [0, x].
+
+    Nondecreasing in x, with the complete beta function recovered at x = 1.
+    The oracle for the tail weights' defining formula.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"upper limit x={x} outside [0, 1]")
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    if x == 0.0:
+        return 0.0
+    return float(sp.betainc(a, b, x)) * math.exp(float(sp.betaln(a, b)))
 
 
 def simpson_incomplete_beta(x, a, b, panels=200_000):
@@ -128,6 +173,21 @@ class TestTailWeights:
     def test_sum_identity_spot(self):
         tw = tail_weights(0.37, 20)
         assert math.fsum(tw.w) == pytest.approx(0.37, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [0.05, 0.37, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("m", [1, 7, 60])
+    def test_defining_formula(self, p, m):
+        # w_k = C(m,k) * ibeta(p, k+1, m-k+1), term by term
+        expect = [
+            math.comb(m, k) * incomplete_beta(p, k + 1, m - k + 1) for k in range(m + 1)
+        ]
+        np.testing.assert_allclose(tail_weights(p, m).w, expect, rtol=1e-11, atol=1e-16)
+
+    @pytest.mark.parametrize("p", [0.1, 0.37, 1.0])
+    @pytest.mark.parametrize("m", [1, 13, 60, 1000])
+    def test_suffix_sums_stored(self, p, m):
+        tw = tail_weights(p, m)
+        assert np.array_equal(tw.tail, np.cumsum(tw.w[::-1])[::-1])
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
