@@ -17,28 +17,11 @@ from .asympt import (
     mse_expansions,
     normalized_tail_integral,
     optimal_degree,
-    pointwise_variance,
     rule_of_thumb_degree,
     var_gain,
 )
-from .copula import (
-    CopulaGrid,
-    PseudoSample,
-    TiesError,
-    bernstein_copula,
-    copula_grid,
-    empirical_copula,
-    jitter_margin,
-    pseudo_observations,
-)
-from .estimators import (
-    QuadratureError,
-    TailRhoResult,
-    normalizer,
-    rho_hat_bernstein,
-    rho_hat_empirical,
-    rho_tail_population,
-)
+from .copula import PseudoSample, TiesError, jitter_margin, pseudo_observations
+from .estimators import TailRhoResult, normalizer, rho_hat_bernstein, rho_hat_empirical
 from .fgm import FgmModel
 from .mc import (
     CellSummary,
@@ -48,18 +31,14 @@ from .mc import (
     run_cell,
     run_table,
 )
-from .special import (
-    TailWeights,
-    kernel_vector,
-    tail_weights,
-)
+from .quadrature import QuadratureError
+from .special import TailWeights, tail_weights
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticReport",
     "CellSummary",
-    "CopulaGrid",
     "DegenerateBiasError",
     "ExperimentConfig",
     "FgmModel",
@@ -70,23 +49,17 @@ __all__ = [
     "TailWeights",
     "TiesError",
     "asymptotic_report",
-    "bernstein_copula",
     "bias_coeff",
-    "copula_grid",
     "degree_sweep",
-    "empirical_copula",
     "estimate_limit_variance",
     "jitter_margin",
-    "kernel_vector",
     "mse_expansions",
     "normalized_tail_integral",
     "normalizer",
     "optimal_degree",
-    "pointwise_variance",
     "pseudo_observations",
     "rho_hat_bernstein",
     "rho_hat_empirical",
-    "rho_tail_population",
     "rule_of_thumb_degree",
     "run_cell",
     "run_table",

@@ -1,7 +1,6 @@
 """First-order asymptotics: pointwise bias and variance-gain coefficients for
-Bernstein smoothing, the limiting variance coefficient of the empirical
-copula, the normalized corner-square integral operator, the MSE-balancing
-smoothing degree, and the resulting MSE expansions.
+Bernstein smoothing, the normalized corner-square integral operator, the
+MSE-balancing smoothing degree, and the resulting MSE expansions.
 
 Smoothing a degree-m Bernstein copula trades a deterministic bias of order
 1/m against a variance reduction of order 1/(n*sqrt(m)); balancing the two
@@ -25,7 +24,6 @@ __all__ = [
     "MseExpansion",
     "bias_coeff",
     "var_gain",
-    "pointwise_variance",
     "normalized_tail_integral",
     "corner_integrals",
     "rule_of_thumb_degree",
@@ -63,24 +61,6 @@ def var_gain(model, u, v):
     return c_u * (1.0 - c_u) * root_u + c_v * (1.0 - c_v) * root_v
 
 
-def pointwise_variance(model, u, v):
-    """Limiting variance coefficient of the empirical copula at (u, v).
-
-    The six-term expression combining C, C_u, C_v; n times the variance of
-    the empirical copula converges to this.  Zero on the boundary.
-    """
-    c = model.cdf(u, v)
-    c_u, c_v, _, _ = model.partials(u, v)
-    return (
-        c * (1.0 - c)
-        + u * (1.0 - u) * c_u**2
-        + v * (1.0 - v) * c_v**2
-        - 2.0 * (1.0 - u) * c * c_u
-        - 2.0 * (1.0 - v) * c * c_v
-        + 2.0 * c_u * c_v * (c - u * v)
-    )
-
-
 def normalized_tail_integral(f, p: float, tol: float = 1e-9) -> float:
     """Integral of f over [0, p]^2 divided by the tail normalizer.
 
@@ -89,7 +69,8 @@ def normalized_tail_integral(f, p: float, tol: float = 1e-9) -> float:
     the square and turns the sqrt(u(1-u)) boundary factors of the
     variance-gain coefficient into analytic functions, so panel doubling
     reaches 1e-9 agreement instead of stalling on the root singularity.
-    `f(u, v)` must broadcast over numpy arrays.
+    `f(u, v)` must broadcast over numpy arrays.  Raises QuadratureError if
+    the panels never agree.
     """
     scale = normalizer(p)
 

@@ -1,4 +1,5 @@
-"""Rank transforms, the empirical copula, grid extraction, and Bernstein smoothing.
+"""Rank transforms: pseudo-observations, the lattice index of each rank, and a
+ties policy.
 
 All types are immutable once built and all operations are pure, so everything
 here can be shared freely across threads.
@@ -10,17 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import kernel_vector
-
 __all__ = [
     "TiesError",
     "PseudoSample",
-    "CopulaGrid",
     "pseudo_observations",
     "jitter_margin",
-    "empirical_copula",
-    "copula_grid",
-    "bernstein_copula",
 ]
 
 
@@ -55,20 +50,6 @@ class PseudoSample:
         index lies in 1..m.
         """
         return -((-self.ranks_x * m) // self.denom), -((-self.ranks_y * m) // self.denom)
-
-
-@dataclass(frozen=True)
-class CopulaGrid:
-    """Empirical copula sampled at ((k/m, l/m)) for k, l = 0..m.
-
-    values[k, l] is the empirical copula at (k/m, l/m); the first row and
-    column are zero, the corner values[m, m] is 1, entries are nondecreasing
-    along rows and columns, and every 2x2 sub-block has nonnegative increment.
-    """
-
-    m: int
-    n: int
-    values: np.ndarray
 
 
 def _ranks(values: np.ndarray, label: str) -> np.ndarray:
@@ -127,48 +108,3 @@ def jitter_margin(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     positive = gaps[gaps > 0]
     eps = 0.5 * positive.min() if positive.size else 1.0
     return values + rng.uniform(0.0, eps, size=values.size)
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name}={value} outside [0, 1]")
-
-
-def empirical_copula(ps: PseudoSample, u: float, v: float) -> float:
-    """Empirical copula (1/n) * #{i : U_i <= u and V_i <= v}."""
-    _check_unit("u", u)
-    _check_unit("v", v)
-    return float(np.count_nonzero((ps.u <= u) & (ps.v <= v))) / ps.n
-
-
-def copula_grid(ps: PseudoSample, m: int) -> CopulaGrid:
-    """Empirical copula on the (m+1) x (m+1) lattice {0, 1/m, ..., 1}^2.
-
-    Sorting is already paid for in the ranks, so the grid is assembled in
-    O(n + m^2) by bucketing each pair at its lattice indices (the first cell
-    that counts it) and taking a two-dimensional prefix sum.  The estimators
-    never build it: it is the definition their rank-score form is tested
-    against.
-    """
-    if m < 1:
-        raise ValueError(f"degree m={m} must be >= 1")
-    n = ps.n
-    bx, by = ps.lattice_indices(m)
-    counts = np.bincount(bx * (m + 1) + by, minlength=(m + 1) ** 2)
-    counts = counts.reshape(m + 1, m + 1)
-    values = counts.cumsum(axis=0).cumsum(axis=1) / n
-    values.flags.writeable = False
-    return CopulaGrid(m=m, n=n, values=values)
-
-
-def bernstein_copula(grid: CopulaGrid, u: float, v: float) -> float:
-    """Bernstein-smoothed copula: the grid contracted with binomial kernels.
-
-    Evaluates sum_{k,l} values[k,l] P_{k,m}(u) P_{l,m}(v), an infinitely
-    smooth surface through the grid that stays inside [0, 1].
-    """
-    _check_unit("u", u)
-    _check_unit("v", v)
-    pu = kernel_vector(grid.m, u)
-    pv = kernel_vector(grid.m, v)
-    return float(pu @ grid.values @ pv)

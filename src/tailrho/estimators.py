@@ -1,8 +1,8 @@
-"""The lower-tail Spearman's rho functional and its two plug-in estimators.
+"""The two plug-in estimators of lower-tail Spearman's rho.
 
-The population functional integrates a copula over the corner square
-[0, p]^2, centers it at the independence value p^4/4, and scales by the
-normalizer p^3/3 - p^4/4 so that perfect positive dependence scores 1.
+The tail-rho functional integrates a copula over the corner square [0, p]^2,
+centers it at the independence value p^4/4, and scales by the normalizer
+p^3/3 - p^4/4 so that perfect positive dependence scores 1.
 
 The empirical estimator never touches a quadrature rule: integrating the
 rank-based step function over the corner square collapses to the closed form
@@ -21,17 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import PseudoSample
-from .quadrature import QuadratureError, integrate_square
 from .special import TailWeights, tail_weights
 
 __all__ = [
     "P_MIN",
     "TailRhoResult",
     "normalizer",
-    "rho_tail_population",
     "rho_hat_empirical",
     "rho_hat_bernstein",
-    "QuadratureError",
 ]
 
 # Thresholds this close to 0 blow up the normalizer's reciprocal without any
@@ -69,19 +66,6 @@ def normalizer(p: float) -> float:
 def _finish(integral: float, p: float, method: str, m: int | None) -> TailRhoResult:
     value = (integral - p**4 / 4.0) / normalizer(p)
     return TailRhoResult(p=p, method=method, m=m, value=value, integral=integral)
-
-
-def rho_tail_population(copula_cdf, p: float, tol: float = 1e-10) -> float:
-    """Population lower-tail rho of a copula given as a callable.
-
-    `copula_cdf(u, v)` must broadcast over numpy arrays.  The corner-square
-    integral uses tensor Gauss-Legendre with panel doubling until successive
-    estimates agree to `tol`; QuadratureError signals failure to converge
-    (e.g. for copulas with kinks at very tight tolerances).
-    """
-    _check_p(p)
-    integral = integrate_square(copula_cdf, p, tol)
-    return _finish(integral, p, "population", None).value
 
 
 def rho_hat_empirical(ps: PseudoSample, p: float) -> TailRhoResult:

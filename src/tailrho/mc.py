@@ -33,6 +33,7 @@ from .special import MAX_DEGREE, tail_weights
 __all__ = [
     "DEFAULT_REPS",
     "DEFAULT_SEED",
+    "MAX_N",
     "ExperimentConfig",
     "CellSummary",
     "resolve_workers",
@@ -44,6 +45,11 @@ __all__ = [
 
 DEFAULT_REPS = 10_000
 DEFAULT_SEED = 42
+
+# Largest sample size accepted, checked before any work.  It bounds each
+# replicate's O(n) arrays (about 80 MB apiece at the cap), and its rule-of-thumb
+# degree floor(n^(2/3)) = 46415 stays below MAX_DEGREE.
+MAX_N = 10_000_000
 
 THREADS_ENV = "TAILRHO_THREADS"
 
@@ -71,8 +77,8 @@ class ExperimentConfig:
             raise ValueError("thetas, ns and ps must all be nonempty")
         if not all(abs(t) <= 1.0 for t in self.thetas):  # NaN fails too
             raise ValueError("every theta must lie in [-1, 1]")
-        if any(n < 1 for n in self.ns):
-            raise ValueError("every sample size must be >= 1")
+        if any(not 1 <= n <= MAX_N for n in self.ns):
+            raise ValueError(f"every sample size must be >= 1 and <= {MAX_N}")
         if any(not P_MIN < p <= 1.0 for p in self.ps):
             raise ValueError(f"every threshold must lie in ({P_MIN:g}, 1]")
         if self.reps < 1:
@@ -180,8 +186,8 @@ def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
 
 def _true_rho(theta: float, n: int, p: float) -> float:
     """Check one cell's inputs; returns its true tail rho."""
-    if n < 1:
-        raise ValueError(f"sample size n={n} must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"sample size n={n} must be >= 1 and <= {MAX_N}")
     return FgmModel(theta).rho_tail_analytic(p)  # checks theta and p
 
 

@@ -1,5 +1,5 @@
-"""Special functions: Bernstein basis vectors and the tail-integration weight
-vector.
+"""Special functions: the tail-integration weight vector of the Bernstein
+smoother and its suffix sums, the per-rank scores of the smoothed estimator.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.  The weight computation avoids the classic overflow/underflow
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "MAX_DEGREE",
     "TailWeights",
-    "kernel_vector",
     "tail_weights",
 ]
 
@@ -75,23 +74,14 @@ def _binom_pmf(n_trials: int, prob: float) -> np.ndarray:
     return out / math.fsum(out)
 
 
-def kernel_vector(m: int, w: float) -> np.ndarray:
-    """All degree-m Bernstein basis values P_{0..m} at a point w in [0, 1]."""
-    if m < 0:
-        raise ValueError("degree m must be nonnegative")
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"evaluation point w={w} outside [0, 1]")
-    return _binom_pmf(m, w)
-
-
 def tail_weights(p: float, m: int) -> TailWeights:
     """Weight vector w_k = C(m,k) * ibeta(p, k+1, m-k+1), k = 0..m.
 
     Because the beta parameters are integers, each weight equals the survival
     probability P[Binomial(m+1, p) >= k+1] divided by m+1, so the whole vector
     comes from one pmf sweep and a suffix sum.  The suffix sum runs from the
-    far tail upward (smallest terms first), which keeps |sum(w) - p| at the
-    1e-15 level even at m = 1000.
+    far tail upward (smallest terms first), which keeps |sum(w) - p| below
+    1e-14 up to the degree cap MAX_DEGREE.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"threshold p={p} outside (0, 1]")

@@ -15,18 +15,15 @@ from scipy import integrate, stats
 
 from tailrho import (
     FgmModel,
-    bernstein_copula,
-    copula_grid,
     normalizer,
-    pointwise_variance,
     pseudo_observations,
     rho_hat_bernstein,
     rho_hat_empirical,
-    rho_tail_population,
     rule_of_thumb_degree,
     tail_weights,
 )
 from tailrho.mc import ExperimentConfig, _simulate, run_table
+from definitions import bernstein_copula, copula_grid, pointwise_variance, rho_tail_population
 
 THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PS = (0.1, 0.5, 1.0)

@@ -13,11 +13,11 @@ from tailrho import (
     normalized_tail_integral,
     normalizer,
     optimal_degree,
-    pointwise_variance,
     pseudo_observations,
     rule_of_thumb_degree,
     var_gain,
 )
+from definitions import pointwise_variance
 
 THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PS = (0.1, 0.5, 1.0)

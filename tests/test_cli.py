@@ -318,6 +318,7 @@ class TestFailFast:
             ("--p", "1e-7", "(1e-06, 1]"),
             ("--p", "1e-6", "(1e-06, 1]"),
             ("--n", "0", ">= 1"),
+            ("--n", "1000000000000", "<= 10000000"),
             ("--theta", "nan", "[-1, 1]"),
         ],
     )

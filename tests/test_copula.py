@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from tailrho import (
     FgmModel,
     TiesError,
-    bernstein_copula,
-    copula_grid,
-    empirical_copula,
     jitter_margin,
-    kernel_vector,
     pseudo_observations,
     rule_of_thumb_degree,
 )
+from definitions import bernstein_copula, copula_grid, empirical_copula, kernel_vector
 
 
 def brute_force_bernstein(grid, u, v):

@@ -7,17 +7,14 @@ from scipy import integrate
 from tailrho import (
     FgmModel,
     QuadratureError,
-    bernstein_copula,
-    copula_grid,
-    empirical_copula,
     normalizer,
     pseudo_observations,
     rho_hat_bernstein,
     rho_hat_empirical,
-    rho_tail_population,
     tail_weights,
 )
 from tailrho.quadrature import integrate_square
+from definitions import bernstein_copula, copula_grid, empirical_copula, rho_tail_population
 
 
 def rectangle_integral(ps, p):

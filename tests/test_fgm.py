@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailrho import FgmModel, rho_tail_population
+from tailrho import FgmModel
+from definitions import rho_tail_population
 
 
 def ks_uniform_distance(sample):

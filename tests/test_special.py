@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
-from tailrho import kernel_vector, tail_weights
+from tailrho import tail_weights
 from tailrho.special import MAX_DEGREE
+from definitions import kernel_vector
 
 
 def binomial_kernel(k: int, m: int, w: float) -> float:
