@@ -1,10 +1,12 @@
 """Command-line front end: data ingestion, experiment orchestration, and
 machine-readable outputs.
 
-Exit codes: 0 success, 2 usage or parse errors, 3 data precondition failures
-(tied margins).  Result files are plain comma-separated text with a fixed
-header, written atomically (temp file, then rename) so partial results never
-appear.  All commands are deterministic given identical flags and seed.
+Exit codes: 0 success, 1 a simulation cell failed, 2 usage or parse errors,
+3 data precondition failures (tied margins).  Bad flags are reported before
+any input is read or any replicate runs.  Result files are plain
+comma-separated text with a fixed header, written atomically (temp file, then
+rename) so partial results never appear.  All commands are deterministic
+given identical flags and seed.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .asympt import (
     rule_of_thumb_degree,
 )
 from .copula import TiesError, jitter_margin, pseudo_observations
-from .estimators import rho_hat_bernstein, rho_hat_empirical
+from .estimators import P_MIN, rho_hat_bernstein, rho_hat_empirical
 from .fgm import FgmModel
+from .special import MAX_DEGREE
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
@@ -139,7 +143,20 @@ def _summary_row(cell: mc.CellSummary, with_reduction: bool) -> str:
     return ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in fields)
 
 
+def _estimate_flag_error(args) -> str | None:
+    """What is wrong with estimate's --p or a fixed --degree, if anything."""
+    if not P_MIN < args.p <= 1.0:
+        return f"threshold p={args.p} outside ({P_MIN:g}, 1]"
+    if args.degree != "rule_of_thumb" and not 1 <= args.degree <= MAX_DEGREE:
+        return f"degree m={args.degree} outside 1..{MAX_DEGREE}"
+    return None
+
+
 def cmd_estimate(args) -> int:
+    problem = _estimate_flag_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     if _missing_out_dir(args.out):
         return EXIT_USAGE
     try:
@@ -198,7 +215,11 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
     if _missing_out_dir(args.out):
         return EXIT_USAGE
-    summaries = mc.run_table(config, workers=workers)
+    try:
+        summaries = mc.run_table(config, workers=workers)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     lines = [SIMULATE_HEADER]
     lines += [_summary_row(cell, with_reduction=True) for cell in summaries]
     _write_atomic(args.out, lines)
@@ -222,6 +243,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     lines = [SWEEP_HEADER]
     lines += [_summary_row(cell, with_reduction=False) for cell in rows]
     _write_atomic(args.out, lines)

@@ -1,5 +1,4 @@
-"""Rank transforms: pseudo-observations, the lattice index of each rank, and a
-ties policy.
+"""Rank transforms: pseudo-observations and a ties policy.
 
 All types are immutable once built and all operations are pure, so everything
 here can be shared freely across threads.
@@ -42,14 +41,6 @@ class PseudoSample:
     @property
     def n(self) -> int:
         return self.u.size
-
-    def lattice_indices(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per margin, the first lattice index k with rank/d <= k/m.
-
-        That is ceil(rank*m/d), decided in exact integer arithmetic; every
-        index lies in 1..m.
-        """
-        return -((-self.ranks_x * m) // self.denom), -((-self.ranks_y * m) // self.denom)
 
 
 def _ranks(values: np.ndarray, label: str) -> np.ndarray:

@@ -4,14 +4,13 @@ The tail-rho functional integrates a copula over the corner square [0, p]^2,
 centers it at the independence value p^4/4, and scales by the normalizer
 p^3/3 - p^4/4 so that perfect positive dependence scores 1.
 
-The empirical estimator never touches a quadrature rule: integrating the
-rank-based step function over the corner square collapses to the closed form
-(1/n) * sum_i max(0, p - U_i) * max(0, p - V_i).  The smoothed estimator is
-by definition a double contraction of the copula grid with the tail weight
-vector; because the grid counts pairs, that contraction collapses to
-(1/n) * sum_i t(R_i) * t(S_i), with t the suffix sums of the weights taken at
-each rank's lattice index.  Both are linear rank statistics, evaluated in
-O(n + m) without building the grid.
+Both estimators are one linear rank statistic, (1/n) * sum_i a(R_i) * a(S_i),
+over a per-rank score table a(0..d).  Integrating the empirical copula's step
+function gives a(r) = (p - r/d)+, with no quadrature.  The smoothed estimator
+is by definition the (m+1)^2 copula grid contracted on both axes with the
+tail weights; because the grid counts pairs, that collapses to
+a(r) = tail[ceil(r*m/d)], the weights' suffix sums at each rank's lattice
+index.  A table costs O(d + m), and one table serves every sample of a size.
 """
 
 from __future__ import annotations
@@ -27,6 +26,10 @@ __all__ = [
     "P_MIN",
     "TailRhoResult",
     "normalizer",
+    "empirical_scores",
+    "bernstein_scores",
+    "rank_integral",
+    "tail_rho",
     "rho_hat_empirical",
     "rho_hat_bernstein",
 ]
@@ -63,38 +66,43 @@ def normalizer(p: float) -> float:
     return p**3 / 3.0 - p**4 / 4.0
 
 
+def empirical_scores(p: float, d: int) -> np.ndarray:
+    """Empirical-copula scores (p - r/d)+ of the ranks r = 0..d."""
+    return np.maximum(p - np.arange(d + 1) / d, 0.0)
+
+
+def bernstein_scores(weights: TailWeights, d: int) -> np.ndarray:
+    """Degree-m scores tail[ceil(r*m/d)] of the ranks r = 0..d (exact ceiling)."""
+    return weights.tail[-((-np.arange(d + 1) * weights.m) // d)]
+
+
+def rank_integral(ps: PseudoSample, scores: np.ndarray) -> float:
+    """The corner integral (1/n) * sum_i scores[R_i] * scores[S_i]."""
+    return float(scores[ps.ranks_x] @ scores[ps.ranks_y]) / ps.n
+
+
+def tail_rho(integral, p: float):
+    """Tail rho of corner integrals: a float, or an array elementwise."""
+    return (integral - p**4 / 4.0) / normalizer(p)
+
+
 def _finish(integral: float, p: float, method: str, m: int | None) -> TailRhoResult:
-    value = (integral - p**4 / 4.0) / normalizer(p)
-    return TailRhoResult(p=p, method=method, m=m, value=value, integral=integral)
+    return TailRhoResult(p, method, m, tail_rho(integral, p), integral)
 
 
 def rho_hat_empirical(ps: PseudoSample, p: float) -> TailRhoResult:
-    """Tail rho of the empirical copula, via the exact closed form.
-
-    The step-function integral is (1/n) sum_i (p - U_i)+ (p - V_i)+, so the
-    result is exact up to rounding: no quadrature error enters.
-    """
-    _check_p(p)
-    du = np.maximum(p - ps.u, 0.0)
-    dv = np.maximum(p - ps.v, 0.0)
-    integral = float(du @ dv) / ps.n
+    """Tail rho of the empirical copula, exact up to rounding: its corner
+    integral needs no quadrature.  tail_rho checks p."""
+    integral = rank_integral(ps, empirical_scores(p, ps.denom))
     return _finish(integral, p, "empirical", None)
 
 
 def rho_hat_bernstein(
-    ps: PseudoSample,
-    p: float,
-    m: int,
-    weights: TailWeights | None = None,
+    ps: PseudoSample, p: float, m: int, weights: TailWeights | None = None
 ) -> TailRhoResult:
-    """Tail rho of the Bernstein-smoothed copula of degree m.
-
-    The smoothed integral over [0, p]^2 is the copula grid contracted on both
-    axes with the tail weight vector, w @ grid @ w.  Each pair adds 1/n to the
-    grid cells at or above its lattice indices (bx, by), so the contraction is
-    (1/n) * sum_i tail[bx_i] * tail[by_i] with tail[j] = sum_{k >= j} w_k,
-    and no grid is built.  Pass a precomputed `weights` to amortize the
-    weight vector across many samples sharing (p, m).
+    """Tail rho of the Bernstein-smoothed copula of degree m, from the scores
+    tail[ceil(rank*m/d)]: no copula grid is built.  Pass a precomputed
+    `weights` to amortize the weight vector across samples sharing (p, m).
     """
     _check_p(p)
     if weights is None:
@@ -104,6 +112,5 @@ def rho_hat_bernstein(
             f"weights were built for (p={weights.p}, m={weights.m}), "
             f"not (p={p}, m={m})"
         )
-    bx, by = ps.lattice_indices(m)
-    integral = float(weights.tail[bx] @ weights.tail[by]) / ps.n
+    integral = rank_integral(ps, bernstein_scores(weights, ps.denom))
     return _finish(integral, p, "bernstein", m)

@@ -6,6 +6,8 @@ statelessly from (seed, cell_index, replicate_index) via SeedSequence spawn
 keys, replicate results land in preallocated slot arrays by index, and all
 reductions run in fixed index order with compensated summation.  Output is
 therefore bit-identical for any worker count and any scheduling order.
+A replicate block builds each estimator's score table (see `estimators`)
+once and evaluates every replicate as one rank statistic per table.
 
 Every entry point (a grid, one cell, a degree sweep, the limit variance)
 cuts its cells into replicate blocks and sends all of them through one
@@ -26,7 +28,7 @@ import numpy as np
 
 from .asympt import rule_of_thumb_degree
 from .copula import pseudo_observations
-from .estimators import P_MIN, rho_hat_bernstein, rho_hat_empirical
+from .estimators import P_MIN, bernstein_scores, empirical_scores, rank_integral, tail_rho
 from .fgm import FgmModel
 from .special import MAX_DEGREE, tail_weights
 
@@ -156,32 +158,30 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Run replicates [start, stop) of one cell; returns their values in order.
 
-    Each replicate draws a fresh FGM sample, rank-transforms it with the
+    Each replicate draws a fresh FGM sample and rank-transforms it with the
     boundary-avoiding rank/(n+1) scaling standard rank-copula software
-    applies, and evaluates the empirical estimator plus the smoothed
-    estimator at every requested degree (the same sample serves all degrees:
-    common random numbers).  A failure is re-raised with the cell's
-    (theta, n, p) attached.
+    applies.  The score tables (empirical, then one per requested degree) are
+    built once for the block; every replicate reads its corner integrals off
+    them, and the same sample serves all degrees (common random numbers).  A
+    failure is re-raised with the cell's (theta, n, p) attached.
     """
     (theta, n, p, m_values, cell_index), seed, start, stop = args
     try:
         model = FgmModel(theta)
-        weight_vectors = [tail_weights(p, m) for m in m_values]
-        emp = np.empty(stop - start)
-        bern = np.empty((stop - start, len(m_values)))
+        tables = [empirical_scores(p, n + 1)]
+        tables += [bernstein_scores(tail_weights(p, m), n + 1) for m in m_values]
+        integrals = np.empty((stop - start, len(tables)))
         for i, rep in enumerate(range(start, stop)):
             seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep))
-            rng = np.random.default_rng(seq)
-            xy = model.sample(n, rng)
+            xy = model.sample(n, np.random.default_rng(seq))
             ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
-            emp[i] = rho_hat_empirical(ps, p).value
-            for j, (m, w) in enumerate(zip(m_values, weight_vectors)):
-                bern[i, j] = rho_hat_bernstein(ps, p, m, weights=w).value
+            integrals[i] = [rank_integral(ps, scores) for scores in tables]
+        values = tail_rho(integrals, p)
     except Exception as exc:
         raise RuntimeError(
             f"simulation cell (theta={theta}, n={n}, p={p}) failed: {exc}"
         ) from exc
-    return emp, bern
+    return values[:, 0], values[:, 1:]
 
 
 def _true_rho(theta: float, n: int, p: float) -> float:

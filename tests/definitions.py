@@ -50,13 +50,14 @@ def empirical_copula(ps: PseudoSample, u: float, v: float) -> float:
 def copula_grid(ps: PseudoSample, m: int) -> CopulaGrid:
     """Empirical copula on the (m+1) x (m+1) lattice {0, 1/m, ..., 1}^2.
 
-    Each pair is bucketed at its lattice indices (the first cell that counts
-    it), and a two-dimensional prefix sum turns the counts into the grid.
+    Each pair is bucketed at its lattice indices ceil(rank*m/d), the first
+    cell that counts it, and a two-dimensional prefix sum turns the counts
+    into the grid.
     """
     if m < 1:
         raise ValueError(f"degree m={m} must be >= 1")
     n = ps.n
-    bx, by = ps.lattice_indices(m)
+    bx, by = (-((-ranks * m) // ps.denom) for ranks in (ps.ranks_x, ps.ranks_y))
     counts = np.bincount(bx * (m + 1) + by, minlength=(m + 1) ** 2)
     counts = counts.reshape(m + 1, m + 1)
     values = counts.cumsum(axis=0).cumsum(axis=1) / n

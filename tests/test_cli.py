@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tailrho import mc
+from tailrho import FgmModel, cli, mc
 from tailrho.cli import build_parser, main
 
 
@@ -28,8 +28,6 @@ class TestEstimate:
         assert "m =" not in out
 
     def test_both_methods_report_degree(self, tmp_path, capsys):
-        from tailrho import FgmModel
-
         xy = FgmModel(1.0).sample(200, np.random.default_rng(0))
         lines = "\n".join(f"{x} {y}" for x, y in xy)
         path = write_file(tmp_path / "d.txt", lines + "\n")
@@ -360,9 +358,52 @@ class TestFailFast:
         assert "100000" in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "2"], "(1e-06, 1]"),
+            (["--p", "1e-7"], "(1e-06, 1]"),
+            (["--p", "nan"], "(1e-06, 1]"),
+            (["--p", "0.5", "--degree", "-3", "--method", "empirical"], "1..100000"),
+            (["--p", "0.5", "--degree", "0"], "1..100000"),
+        ],
+    )
+    def test_estimate_flags_checked_before_reading(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def no_read(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "load_pairs", no_read)
+        tied = write_file(tmp_path / "t.csv", "1,1\n1,2\n")  # would exit 3 if read
+        code = main(["estimate", "--input", tied] + flags)
+        assert code == 2
+        assert message in one_error_line(capsys)
+
 
 @pytest.mark.parametrize("command", [SIMULATE, ["estimate", "--input", "f", "--p", "0.5"]])
 @pytest.mark.parametrize("degree", [[], ["--degree", "rule"], ["--degree", "rule_of_thumb"]])
 def test_degree_rule_spelling(command, degree):
     out = [] if command[0] == "estimate" else ["--out", "x.csv"]
     assert build_parser().parse_args(command + degree + out).degree == "rule_of_thumb"
+
+
+class TestWorkerFailure:
+    """A replicate that raises ends the command with exit 1 and one line."""
+
+    @pytest.fixture(autouse=True)
+    def failing_sampler(self, monkeypatch):
+        def sample(self, n, rng):
+            raise FloatingPointError("sampler broke")
+
+        monkeypatch.setattr(FgmModel, "sample", sample)
+        monkeypatch.setenv("TAILRHO_THREADS", "1")  # the patch lives in this process
+
+    @pytest.mark.parametrize("command", [SIMULATE, SWEEP])
+    def test_exit_one_without_output(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        code = main(command + ["--out", str(out)])
+        assert code == 1
+        err = one_error_line(capsys)
+        assert "simulation cell (theta=0.5, n=20, p=0.5) failed: sampler broke" in err
+        assert not out.exists()

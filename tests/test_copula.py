@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from tailrho import (
     FgmModel,
+    TailWeights,
     TiesError,
     jitter_margin,
     pseudo_observations,
     rule_of_thumb_degree,
 )
+from tailrho.estimators import bernstein_scores
 from definitions import bernstein_copula, copula_grid, empirical_copula, kernel_vector
 
 
@@ -152,12 +154,19 @@ class TestCopulaGrid:
 
 
 class TestLatticeIndices:
+    """With tail[k] = k, each Bernstein score is its rank's lattice index."""
+
     @pytest.mark.parametrize("denominator", ["n", "n+1"])
     @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (20, 20), (9, 40)])
     def test_first_lattice_point_at_or_above(self, denominator, n, m):
         rng = np.random.default_rng(n + m)
         ps = pseudo_observations(rng.random(n), rng.random(n), denominator=denominator)
-        for ranks, index in zip((ps.ranks_x, ps.ranks_y), ps.lattice_indices(m)):
+        # only m and tail are read
+        identity = TailWeights(p=1.0, m=m, w=np.zeros(m + 1), tail=np.arange(m + 1.0))
+        scores = bernstein_scores(identity, ps.denom)
+        assert scores[0] == 0
+        for ranks in (ps.ranks_x, ps.ranks_y):
+            index = scores[ranks]
             # smallest k with rank/d <= k/m, found by integer search
             expected = [min(k for k in range(m + 1) if r * m <= k * ps.denom) for r in ranks]
             assert index.tolist() == expected

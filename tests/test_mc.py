@@ -8,6 +8,10 @@ from tailrho import (
     ExperimentConfig,
     degree_sweep,
     estimate_limit_variance,
+    pseudo_observations,
+    rho_hat_bernstein,
+    rho_hat_empirical,
+    rule_of_thumb_degree,
     run_cell,
     run_table,
 )
@@ -356,3 +360,20 @@ class TestSummaryReduction:
         assert (cell.abs_bias_emp, cell.var_emp, cell.mse_emp) == (bias_e, var_e, mse_e)
         assert (cell.abs_bias_bern, cell.var_bern, cell.mse_bern) == (bias_b, var_b, mse_b)
         assert cell.mse_reduction_pct == 100.0 * (1.0 - mse_b / mse_e)
+
+
+class TestKernelMatchesPublicApi:
+    """The replicate kernel's score tables give, bit for bit, what the public
+    estimators give on the same replicate sample."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_every_replicate(self, n):
+        theta, p, seed, cell_index, start, stop = 0.5, 0.9, 11, 4, 3, 9
+        m_values = [1, rule_of_thumb_degree(n), n + 7]
+        emp, bern = mc._replicate_block(((theta, n, p, m_values, cell_index), seed, start, stop))
+        for i, rep in enumerate(range(start, stop)):
+            seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep))
+            xy = FgmModel(theta).sample(n, np.random.default_rng(seq))
+            ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
+            assert emp[i] == rho_hat_empirical(ps, p).value
+            assert bern[i].tolist() == [rho_hat_bernstein(ps, p, m).value for m in m_values]

@@ -1,5 +1,5 @@
-"""The package's public surface: what `tailrho` exports, and every name the
-benchmark harness imports from it.
+"""The package's public surface: what `tailrho` exports, every name the
+benchmark harness imports from it, and what importing the command line loads.
 
 The harness in perfbench/ imports its tailrho names at module load in every
 mode, so a name dropped from the package would fail every benchmark workload;
@@ -9,6 +9,8 @@ this check fails in the test suite first.
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,11 @@ def test_benchmark_imports_resolve():
         for module, name in found:
             mod = importlib.import_module(module)
             assert name is None or hasattr(mod, name), f"{file}: {module}.{name}"
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test-only dependency: the command line never loads it."""
+    code = "import sys, tailrho.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
