@@ -1,7 +1,10 @@
 """Rank transforms: pseudo-observations and a ties policy.
 
 All types are immutable once built and all operations are pure, so everything
-here can be shared freely across threads.
+here can be shared freely across threads.  The ranking and its checks work
+along the last axis, so the Monte Carlo engine ranks a whole chunk of
+replicate samples in one call with exactly the checks `pseudo_observations`
+applies to one sample.
 """
 
 from __future__ import annotations
@@ -44,16 +47,28 @@ class PseudoSample:
 
 
 def _ranks(values: np.ndarray, label: str) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    if np.any(sorted_vals[1:] == sorted_vals[:-1]):
+    """Integer ranks 1..n along the last axis; TiesError if any row ties."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    sorted_vals = np.take_along_axis(values, order, axis=-1)
+    if np.any(sorted_vals[..., 1:] == sorted_vals[..., :-1]):
         raise TiesError(
             f"duplicate values in the {label} margin; ranks are undefined "
             "(continuous data expected; consider jittering)"
         )
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[order] = np.arange(1, values.size + 1)
+    ranks = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[-1] + 1), axis=-1)
     return ranks
+
+
+def _margin_ranks(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of both margins along the last axis, each row on its own.
+
+    Works on one sample (shape (n,)) or a stack of them (shape (k, n)), with
+    the same checks: ValueError for a non-finite value, TiesError for a tie.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("sample contains non-finite values")
+    return _ranks(x, "first"), _ranks(y, "second")
 
 
 def pseudo_observations(x, y, denominator: str = "n") -> PseudoSample:
@@ -71,16 +86,13 @@ def pseudo_observations(x, y, denominator: str = "n") -> PseudoSample:
         raise ValueError(f"margins have different lengths ({x.size} vs {y.size})")
     if x.size < 1:
         raise ValueError("sample must contain at least one pair")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("sample contains non-finite values")
     if denominator == "n":
         d = x.size
     elif denominator == "n+1":
         d = x.size + 1
     else:
         raise ValueError(f"denominator must be 'n' or 'n+1', got {denominator!r}")
-    rx = _ranks(x, "first")
-    ry = _ranks(y, "second")
+    rx, ry = _margin_ranks(x, y)
     u = rx / d
     v = ry / d
     for arr in (u, v, rx, ry):

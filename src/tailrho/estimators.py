@@ -10,7 +10,8 @@ function gives a(r) = (p - r/d)+, with no quadrature.  The smoothed estimator
 is by definition the (m+1)^2 copula grid contracted on both axes with the
 tail weights; because the grid counts pairs, that collapses to
 a(r) = tail[ceil(r*m/d)], the weights' suffix sums at each rank's lattice
-index.  A table costs O(d + m), and one table serves every sample of a size.
+index.  A table costs O(d + m), and one table serves every sample of a size;
+`rank_integral` takes one sample's ranks or a stack of samples' ranks.
 """
 
 from __future__ import annotations
@@ -76,9 +77,17 @@ def bernstein_scores(weights: TailWeights, d: int) -> np.ndarray:
     return weights.tail[-((-np.arange(d + 1) * weights.m) // d)]
 
 
-def rank_integral(ps: PseudoSample, scores: np.ndarray) -> float:
-    """The corner integral (1/n) * sum_i scores[R_i] * scores[S_i]."""
-    return float(scores[ps.ranks_x] @ scores[ps.ranks_y]) / ps.n
+def rank_integral(ranks_x: np.ndarray, ranks_y: np.ndarray, scores: np.ndarray):
+    """The corner integral (1/n) * sum_i scores[R_i] * scores[S_i] of each
+    row of integer ranks of shape (..., n): a float array of shape (...).
+
+    Every row's sum is one BLAS dot, the matmul of a (1, n) by an (n, 1)
+    block, which is the call a 1-D `@` makes; so a row's value does not
+    depend on how many rows are stacked with it.
+    """
+    a = scores[ranks_x][..., None, :]
+    b = scores[ranks_y][..., :, None]
+    return np.matmul(a, b)[..., 0, 0] / ranks_x.shape[-1]
 
 
 def tail_rho(integral, p: float):
@@ -86,15 +95,17 @@ def tail_rho(integral, p: float):
     return (integral - p**4 / 4.0) / normalizer(p)
 
 
-def _finish(integral: float, p: float, method: str, m: int | None) -> TailRhoResult:
+def _finish(
+    ps: PseudoSample, scores: np.ndarray, p: float, method: str, m: int | None
+) -> TailRhoResult:
+    integral = float(rank_integral(ps.ranks_x, ps.ranks_y, scores))
     return TailRhoResult(p, method, m, tail_rho(integral, p), integral)
 
 
 def rho_hat_empirical(ps: PseudoSample, p: float) -> TailRhoResult:
     """Tail rho of the empirical copula, exact up to rounding: its corner
     integral needs no quadrature.  tail_rho checks p."""
-    integral = rank_integral(ps, empirical_scores(p, ps.denom))
-    return _finish(integral, p, "empirical", None)
+    return _finish(ps, empirical_scores(p, ps.denom), p, "empirical", None)
 
 
 def rho_hat_bernstein(
@@ -112,5 +123,4 @@ def rho_hat_bernstein(
             f"weights were built for (p={weights.p}, m={weights.m}), "
             f"not (p={p}, m={m})"
         )
-    integral = rank_integral(ps, bernstein_scores(weights, ps.denom))
-    return _finish(integral, p, "bernstein", m)
+    return _finish(ps, bernstein_scores(weights, ps.denom), p, "bernstein", m)

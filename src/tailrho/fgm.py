@@ -1,6 +1,10 @@
 """The FGM copula family: closed-form CDF, partial derivatives, an exact
 sampler, and the analytic lower-tail rho used as simulation ground truth.
 
+The sampler's inversion formula lives in one place, `from_uniforms`, which
+works on arrays of any shape: `sample` calls it on one row of uniforms, and
+the Monte Carlo engine on a whole chunk of replicates' rows at once.
+
 The family is uv * (1 + theta*(1-u)*(1-v)) for theta in [-1, 1]; it has
 moderate dependence and closed forms for everything needed here, which is
 exactly why it serves as the Monte Carlo test bed.
@@ -57,25 +61,35 @@ class FgmModel:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n i.i.d. pairs with this copula and uniform margins.
 
-        Conditional inversion: with u, t uniform and a = theta*(1-2u), solve
-        v + a*(v - v^2) = t.  The root is evaluated as
-        2t / ((1+a) + sqrt((1+a)^2 - 4at)), which is algebraically the
-        quadratic root but free of the catastrophic cancellation the
-        subtractive form suffers as a -> 0; a linear branch covers |a| below
-        1e-12.  The generator must be exclusively owned by the caller.
+        Draws u = rng.random(n), then t = rng.random(n), and returns the
+        columns (u, from_uniforms(u, t)).  The generator must be exclusively
+        owned by the caller.
         """
         if n < 1:
             raise ValueError(f"sample size n={n} must be >= 1")
         u = rng.random(n)
         t = rng.random(n)
+        return np.column_stack((u, self.from_uniforms(u, t)))
+
+    def from_uniforms(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Second coordinate v of the pairs (u, v) for uniforms u, t of any
+        (equal) shape, elementwise.
+
+        Conditional inversion: with a = theta*(1-2u), solve
+        v + a*(v - v^2) = t.  The root is evaluated as
+        2t / ((1+a) + sqrt((1+a)^2 - 4at)), which is algebraically the
+        quadratic root but free of the catastrophic cancellation the
+        subtractive form suffers as a -> 0; a linear branch covers |a| below
+        1e-12.  Every operation is correctly rounded and elementwise, so a
+        (k, n) block gives the same bits as k separate rows.
+        """
         a = self.theta * (1.0 - 2.0 * u)
         disc = (1.0 + a) ** 2 - 4.0 * a * t
-        v = np.where(
+        return np.where(
             np.abs(a) < 1e-12,
             t,
             2.0 * t / ((1.0 + a) + np.sqrt(np.maximum(disc, 0.0))),
         )
-        return np.column_stack((u, v))
 
     def rho_tail_analytic(self, p: float) -> float:
         """Exact lower-tail rho: theta * (p^2/2 - p^3/3)^2 / (p^3/3 - p^4/4).

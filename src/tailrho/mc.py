@@ -5,9 +5,17 @@ Determinism contract: every replicate owns a private generator derived
 statelessly from (seed, cell_index, replicate_index) via SeedSequence spawn
 keys, replicate results land in preallocated slot arrays by index, and all
 reductions run in fixed index order with compensated summation.  Output is
-therefore bit-identical for any worker count and any scheduling order.
-A replicate block builds each estimator's score table (see `estimators`)
-once and evaluates every replicate as one rank statistic per table.
+therefore bit-identical for any worker count, any scheduling order and any
+chunk size.
+
+A replicate block draws each replicate's uniforms from its own generator,
+then works on chunks of at most max(1, CHUNK // n) replicates at once: the
+FGM inversion, the ranks and their checks, and one rank statistic per score
+table (see `estimators`) run over (rows, n) arrays.  Every step treats each
+row on its own (elementwise operations, per-row sorts, one BLAS dot per row),
+so a replicate's value is the one a lone `sample`, `pseudo_observations` and
+`rho_hat_*` call would give; the chunk only bounds memory to O(CHUNK) floats
+per array plus one degree's tail weights.
 
 Every entry point (a grid, one cell, a degree sweep, the limit variance)
 cuts its cells into replicate blocks and sends all of them through one
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asympt import rule_of_thumb_degree
-from .copula import pseudo_observations
+from .copula import _margin_ranks
 from .estimators import P_MIN, bernstein_scores, empirical_scores, rank_integral, tail_rho
 from .fgm import FgmModel
 from .special import MAX_DEGREE, tail_weights
@@ -48,10 +56,16 @@ __all__ = [
 DEFAULT_REPS = 10_000
 DEFAULT_SEED = 42
 
-# Largest sample size accepted, checked before any work.  It bounds each
-# replicate's O(n) arrays (about 80 MB apiece at the cap), and its rule-of-thumb
-# degree floor(n^(2/3)) = 46415 stays below MAX_DEGREE.
+# Largest sample size accepted, checked before any work.  It bounds the
+# kernel's (rows, n) arrays, one row apiece once n exceeds CHUNK (80 MB each
+# at the cap), and its rule-of-thumb degree floor(n^(2/3)) = 46415 stays
+# below MAX_DEGREE.
 MAX_N = 10_000_000
+
+# Elements per (rows, n) array of the replicate kernel: it works on
+# max(1, CHUNK // n) replicates at a time.  Each row is computed on its own,
+# so the chunk size bounds memory and changes no value.
+CHUNK = 2**16
 
 THREADS_ENV = "TAILRHO_THREADS"
 
@@ -158,24 +172,35 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Run replicates [start, stop) of one cell; returns their values in order.
 
-    Each replicate draws a fresh FGM sample and rank-transforms it with the
-    boundary-avoiding rank/(n+1) scaling standard rank-copula software
-    applies.  The score tables (empirical, then one per requested degree) are
-    built once for the block; every replicate reads its corner integrals off
-    them, and the same sample serves all degrees (common random numbers).  A
-    failure is re-raised with the cell's (theta, n, p) attached.
+    Each replicate draws u, then t, from its own generator; that is the only
+    per-replicate step.  The rest runs over chunks of max(1, CHUNK // n)
+    replicates' (rows, n) arrays: the FGM inversion, the ranks with their
+    finite and tie checks (the boundary-avoiding rank/(n+1) scaling standard
+    rank-copula software applies), and one rank integral per score table.
+    The tables (empirical, then one per requested degree) are built one at a
+    time from their tail weights, so memory does not grow with the number of
+    degrees, and the same sample serves all degrees (common random numbers).
+    A failure is re-raised with the cell's (theta, n, p) attached.
     """
     (theta, n, p, m_values, cell_index), seed, start, stop = args
     try:
         model = FgmModel(theta)
-        tables = [empirical_scores(p, n + 1)]
-        tables += [bernstein_scores(tail_weights(p, m), n + 1) for m in m_values]
-        integrals = np.empty((stop - start, len(tables)))
-        for i, rep in enumerate(range(start, stop)):
-            seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep))
-            xy = model.sample(n, np.random.default_rng(seq))
-            ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
-            integrals[i] = [rank_integral(ps, scores) for scores in tables]
+        integrals = np.empty((stop - start, 1 + len(m_values)))
+        rows = max(1, CHUNK // n)
+        for lo in range(0, stop - start, rows):
+            chunk = integrals[lo : lo + rows]
+            u = np.empty((len(chunk), n))
+            t = np.empty((len(chunk), n))
+            for i in range(len(chunk)):
+                seq = np.random.SeedSequence(seed, spawn_key=(cell_index, start + lo + i))
+                rng = np.random.default_rng(seq)
+                rng.random(out=u[i])
+                rng.random(out=t[i])
+            rx, ry = _margin_ranks(u, model.from_uniforms(u, t))
+            chunk[:, 0] = rank_integral(rx, ry, empirical_scores(p, n + 1))
+            for j, m in enumerate(m_values, 1):
+                scores = bernstein_scores(tail_weights(p, m), n + 1)
+                chunk[:, j] = rank_integral(rx, ry, scores)
         values = tail_rho(integrals, p)
     except Exception as exc:
         raise RuntimeError(

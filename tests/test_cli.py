@@ -393,10 +393,10 @@ class TestWorkerFailure:
 
     @pytest.fixture(autouse=True)
     def failing_sampler(self, monkeypatch):
-        def sample(self, n, rng):
+        def from_uniforms(self, u, t):
             raise FloatingPointError("sampler broke")
 
-        monkeypatch.setattr(FgmModel, "sample", sample)
+        monkeypatch.setattr(FgmModel, "from_uniforms", from_uniforms)
         monkeypatch.setenv("TAILRHO_THREADS", "1")  # the patch lives in this process
 
     @pytest.mark.parametrize("command", [SIMULATE, SWEEP])

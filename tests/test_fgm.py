@@ -100,6 +100,21 @@ class TestSampler:
         assert np.abs(residual).max() <= 1e-12
         assert np.all((v >= 0.0) & (v <= 1.0))
 
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.3, 1.0])
+    def test_block_matches_row_samples(self, theta):
+        # the Monte Carlo engine inverts a (k, n) block in one call; every row
+        # must carry the bits of one sample() call from the same generator
+        model, k, n = FgmModel(theta), 7, 33
+        u, t = np.empty((k, n)), np.empty((k, n))
+        for i in range(k):
+            rng = np.random.default_rng(i)
+            u[i], t[i] = rng.random(n), rng.random(n)
+        v = model.from_uniforms(u, t)
+        for i in range(k):
+            xy = model.sample(n, np.random.default_rng(i))
+            assert xy[:, 0].tolist() == u[i].tolist()
+            assert xy[:, 1].tolist() == v[i].tolist()
+
     def test_margin_uniformity(self):
         n = 100_000
         xy = FgmModel(1.0).sample(n, np.random.default_rng(21))

@@ -15,7 +15,7 @@ from tailrho import (
     run_cell,
     run_table,
 )
-from tailrho import mc
+from tailrho import TiesError, mc
 from tailrho.estimators import P_MIN
 from tailrho.fgm import FgmModel
 from tailrho.mc import resolve_workers
@@ -221,10 +221,10 @@ class TestFailureContext:
 
     @pytest.fixture(autouse=True)
     def failing_sampler(self, monkeypatch):
-        def sample(self, n, rng):
+        def from_uniforms(self, u, t):
             raise FloatingPointError("sampler broke")
 
-        monkeypatch.setattr(FgmModel, "sample", sample)
+        monkeypatch.setattr(FgmModel, "from_uniforms", from_uniforms)
 
     def test_run_cell(self):
         with pytest.raises(RuntimeError, match=self.CONTEXT):
@@ -366,7 +366,8 @@ class TestKernelMatchesPublicApi:
     """The replicate kernel's score tables give, bit for bit, what the public
     estimators give on the same replicate sample."""
 
-    @pytest.mark.parametrize("n", [1, 2, 50])
+    # at n = 20000 a chunk holds 3 replicates, so the 6-replicate block spans two
+    @pytest.mark.parametrize("n", [1, 2, 50, 20_000])
     def test_every_replicate(self, n):
         theta, p, seed, cell_index, start, stop = 0.5, 0.9, 11, 4, 3, 9
         m_values = [1, rule_of_thumb_degree(n), n + 7]
@@ -377,3 +378,44 @@ class TestKernelMatchesPublicApi:
             ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
             assert emp[i] == rho_hat_empirical(ps, p).value
             assert bern[i].tolist() == [rho_hat_bernstein(ps, p, m).value for m in m_values]
+
+
+class TestChunking:
+    """The kernel's chunk size bounds memory and changes no bit."""
+
+    @pytest.mark.parametrize("n, m_values", [(1, [1]), (9, [1, 4, 16]), (50, [13])])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_chunk_size_leaves_bits(self, monkeypatch, n, m_values, rows):
+        args = ((-0.5, n, 0.5, m_values, 3), 17, 5, 25)
+        emp, bern = mc._replicate_block(args)
+        assert mc.CHUNK // n >= 20  # the default runs this block as one chunk
+        monkeypatch.setattr(mc, "CHUNK", rows * n)
+        chunked_emp, chunked_bern = mc._replicate_block(args)
+        assert chunked_emp.tolist() == emp.tolist()
+        assert chunked_bern.tolist() == bern.tolist()
+
+
+class TestBatchedChecks:
+    """A tie or a non-finite value in any row of a chunk fails the cell, named."""
+
+    @pytest.mark.parametrize(
+        "bad, cause, message",
+        [
+            ("tie", TiesError, "duplicate values in the second margin"),
+            (np.nan, ValueError, "sample contains non-finite values"),
+        ],
+    )
+    def test_last_row_corrupted(self, monkeypatch, bad, cause, message):
+        from_uniforms = FgmModel.from_uniforms
+
+        def patched(self, u, t):
+            v = from_uniforms(self, u, t)
+            v[-1, 3] = v[-1, 11] if bad == "tie" else bad
+            return v
+
+        monkeypatch.setattr(FgmModel, "from_uniforms", patched)
+        with pytest.raises(RuntimeError) as info:  # four blocks of two rows each
+            run_cell(0.5, 20, 0.25, 7, reps=8, seed=1, workers=1)
+        cell = "simulation cell (theta=0.5, n=20, p=0.25) failed: "
+        assert str(info.value).startswith(cell + message)
+        assert type(info.value.__cause__) is cause
