@@ -139,7 +139,8 @@ def _degree_arg(text: str) -> str | int:
 
 def _summary_row(cell: mc.CellSummary, with_reduction: bool) -> str:
     """CSV row of the cell's fields in order: ints as is, floats via _fmt."""
-    fields = dataclasses.astuple(cell)[: None if with_reduction else -1]
+    fields = [getattr(cell, f.name) for f in dataclasses.fields(cell)]
+    fields = fields[: None if with_reduction else -1]
     return ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in fields)
 
 

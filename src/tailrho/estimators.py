@@ -62,9 +62,14 @@ def _check_p(p: float) -> None:
 
 
 def normalizer(p: float) -> float:
-    """Normalizing constant p^3/3 - p^4/4 (positive on the allowed range)."""
+    """Normalizing constant p^3/3 - p^4/4 (positive on the allowed range).
+
+    Powers here and in `tail_rho` are chains of IEEE products, which give the
+    same bits on every platform; Python's ** calls the C library's pow, whose
+    last bit varies between libraries.
+    """
     _check_p(p)
-    return p**3 / 3.0 - p**4 / 4.0
+    return p * p * p / 3.0 - p * p * p * p / 4.0
 
 
 def empirical_scores(p: float, d: int) -> np.ndarray:
@@ -81,18 +86,19 @@ def rank_integral(ranks_x: np.ndarray, ranks_y: np.ndarray, scores: np.ndarray):
     """The corner integral (1/n) * sum_i scores[R_i] * scores[S_i] of each
     row of integer ranks of shape (..., n): a float array of shape (...).
 
-    Every row's sum is one BLAS dot, the matmul of a (1, n) by an (n, 1)
-    block, which is the call a 1-D `@` makes; so a row's value does not
-    depend on how many rows are stacked with it.
+    Every row's sum is numpy's pairwise summation of its n products, in this
+    thread and without BLAS, so a row's value depends neither on how many
+    rows are stacked with it nor on the BLAS thread count.  (A BLAS dot
+    splits long rows over threads; `einsum` splits rows longer than its
+    8192-element buffer differently for a stack than for one row.)
     """
-    a = scores[ranks_x][..., None, :]
-    b = scores[ranks_y][..., :, None]
-    return np.matmul(a, b)[..., 0, 0] / ranks_x.shape[-1]
+    products = scores[ranks_x] * scores[ranks_y]
+    return products.sum(axis=-1) / ranks_x.shape[-1]
 
 
 def tail_rho(integral, p: float):
     """Tail rho of corner integrals: a float, or an array elementwise."""
-    return (integral - p**4 / 4.0) / normalizer(p)
+    return (integral - p * p * p * p / 4.0) / normalizer(p)
 
 
 def _finish(

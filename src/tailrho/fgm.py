@@ -97,5 +97,5 @@ class FgmModel:
         At p = 1 this reduces to theta/3, the classical Spearman's rho of the
         family.
         """
-        corner = p**2 / 2.0 - p**3 / 3.0
-        return self.theta * corner**2 / normalizer(p)
+        corner = p * p / 2.0 - p * p * p / 3.0
+        return self.theta * (corner * corner) / normalizer(p)

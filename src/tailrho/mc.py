@@ -1,21 +1,27 @@
 """Seeded, parallel Monte Carlo engine comparing the empirical and
 Bernstein-smoothed tail-rho estimators under the FGM model.
 
-Determinism contract: every replicate owns a private generator derived
-statelessly from (seed, cell_index, replicate_index) via SeedSequence spawn
-keys, replicate results land in preallocated slot arrays by index, and all
-reductions run in fixed index order with compensated summation.  Output is
-therefore bit-identical for any worker count, any scheduling order and any
-chunk size.
+Determinism contract: the replicates of a cell are cut into stream chunks
+of STREAM = 64.  Chunk c of cell k owns one generator, derived statelessly
+from (seed, k, c) via SeedSequence spawn keys, and it draws, for each of
+its replicates in order, u (n values) and then t (n values).  Replicate
+results land in preallocated slot arrays by index, every step after the
+draws treats each replicate on its own, and all reductions run in fixed
+index order with compensated summation.  Output is therefore bit-identical
+for any worker count, any scheduling order, any chunk size and any BLAS
+thread count (no step calls BLAS); powers are written as products, so the
+C library's `pow` plays no part either.  STREAM is part of the numbers, not
+a tuning knob: changing it changes every result.
 
-A replicate block draws each replicate's uniforms from its own generator,
-then works on chunks of at most max(1, CHUNK // n) replicates at once: the
+A replicate block starts at a multiple of STREAM and fills each kernel
+chunk's uniforms with one draw per stream chunk it meets; a stream chunk
+longer than a kernel chunk carries its generator on to the next one.  The
+kernel works on chunks of at most max(1, CHUNK // n) replicates at once: the
 FGM inversion, the ranks and their checks, and one rank statistic per score
-table (see `estimators`) run over (rows, n) arrays.  Every step treats each
-row on its own (elementwise operations, per-row sorts, one BLAS dot per row),
-so a replicate's value is the one a lone `sample`, `pseudo_observations` and
-`rho_hat_*` call would give; the chunk only bounds memory to O(CHUNK) floats
-per array plus one degree's tail weights.
+table (see `estimators`) run over (rows, n) arrays, so a replicate's value
+is the one `sample`, `pseudo_observations` and `rho_hat_*` give on its
+stream; the chunk only bounds memory to O(CHUNK) floats per array plus one
+degree's tail weights.
 
 Every entry point (a grid, one cell, a degree sweep, the limit variance)
 cuts its cells into replicate blocks and sends all of them through one
@@ -66,6 +72,10 @@ MAX_N = 10_000_000
 # max(1, CHUNK // n) replicates at a time.  Each row is computed on its own,
 # so the chunk size bounds memory and changes no value.
 CHUNK = 2**16
+
+# Replicates per random stream (see the module docstring).  A replicate
+# block must start at a multiple of it.
+STREAM = 64
 
 THREADS_ENV = "TAILRHO_THREADS"
 
@@ -172,31 +182,37 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Run replicates [start, stop) of one cell; returns their values in order.
 
-    Each replicate draws u, then t, from its own generator; that is the only
-    per-replicate step.  The rest runs over chunks of max(1, CHUNK // n)
-    replicates' (rows, n) arrays: the FGM inversion, the ranks with their
-    finite and tie checks (the boundary-avoiding rank/(n+1) scaling standard
-    rank-copula software applies), and one rank integral per score table.
-    The tables (empirical, then one per requested degree) are built one at a
-    time from their tail weights, so memory does not grow with the number of
-    degrees, and the same sample serves all degrees (common random numbers).
-    A failure is re-raised with the cell's (theta, n, p) attached.
+    start must be a multiple of STREAM.  The replicates run in kernel chunks
+    of max(1, CHUNK // n).  A chunk's (rows, 2, n) uniforms (u, then t, of
+    each replicate) take one draw per stream chunk it meets; a stream's
+    generator carries over into the next kernel chunk.  Then come the FGM
+    inversion, the ranks with their finite and tie checks (the
+    boundary-avoiding rank/(n+1) scaling standard rank-copula software
+    applies), and one rank integral per score table.  The tables (empirical,
+    then one per requested degree) are built one at a time from their tail
+    weights, so memory does not grow with the number of degrees, and the
+    same sample serves all degrees (common random numbers).  A failure is
+    re-raised with the cell's (theta, n, p) attached.
     """
     (theta, n, p, m_values, cell_index), seed, start, stop = args
+    if start % STREAM:
+        raise ValueError(f"replicate block starts at {start}, not a multiple of STREAM={STREAM}")
     try:
         model = FgmModel(theta)
         integrals = np.empty((stop - start, 1 + len(m_values)))
         rows = max(1, CHUNK // n)
-        for lo in range(0, stop - start, rows):
-            chunk = integrals[lo : lo + rows]
-            u = np.empty((len(chunk), n))
-            t = np.empty((len(chunk), n))
-            for i in range(len(chunk)):
-                seq = np.random.SeedSequence(seed, spawn_key=(cell_index, start + lo + i))
-                rng = np.random.default_rng(seq)
-                rng.random(out=u[i])
-                rng.random(out=t[i])
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            draws = np.empty((hi - lo, 2, n))
+            cuts = [lo, *range((lo // STREAM + 1) * STREAM, hi, STREAM), hi]
+            for a, b in zip(cuts, cuts[1:]):
+                if a % STREAM == 0:
+                    seq = np.random.SeedSequence(seed, spawn_key=(cell_index, a // STREAM))
+                    rng = np.random.default_rng(seq)
+                rng.random(out=draws[a - lo : b - lo])
+            u, t = draws[:, 0], draws[:, 1]
             rx, ry = _margin_ranks(u, model.from_uniforms(u, t))
+            chunk = integrals[lo - start : hi - start]
             chunk[:, 0] = rank_integral(rx, ry, empirical_scores(p, n + 1))
             for j, m in enumerate(m_values, 1):
                 scores = bernstein_scores(tail_weights(p, m), n + 1)
@@ -223,15 +239,17 @@ def _simulate(
 
     A cell is (theta, n, p, m_values, cell_index); bern has one column per
     degree in m_values.  Every cell is checked before any work.  Each cell is
-    cut into replicate blocks, about four per process for the whole job and
-    never spanning two cells, and all the blocks go through one pool; each
-    block's values land in its cell's slots.
+    cut into replicate blocks, about four per process for the whole job,
+    rounded up to a multiple of STREAM and never spanning two cells, and all
+    the blocks go through one pool; each block's values land in its cell's
+    slots.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     truths = [_true_rho(theta, n, p) for theta, n, p, _, _ in cells]
     processes = min(workers, _usable_cpus())
-    block = min(reps, -(-reps * len(cells) // (4 * processes)))
+    block = -(-reps * len(cells) // (4 * processes))
+    block = min(reps, -(-block // STREAM) * STREAM)
     spans = [
         (k, start, min(start + block, reps))
         for k in range(len(cells))
@@ -254,12 +272,11 @@ def _summarize(
     reps = emp.size
 
     def stats(x: np.ndarray) -> tuple[float, float | None, float]:
-        # Squares go through Python's ** (the C library pow), not np.square:
-        # the two differ in the last bit of some elements, which can change
-        # the last bit of a sum and so the output bytes.
+        # Squares are d*d, correctly rounded everywhere; Python's d**2 calls
+        # the C library's pow, whose last bit differs between platforms.
         mean = math.fsum(x.tolist()) / reps
-        sq_dev = math.fsum([d**2 for d in (x - mean).tolist()])
-        sq_err = math.fsum([d**2 for d in (x - true_rho).tolist()])
+        sq_dev = math.fsum([d * d for d in (x - mean).tolist()])
+        sq_err = math.fsum([d * d for d in (x - true_rho).tolist()])
         var = sq_dev / (reps - 1) if reps > 1 else None
         return abs(mean - true_rho), var, sq_err / reps
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,3 +209,36 @@ class TestRankScoreForm:
         ps = pseudo_observations(rng.random(n), rng.random(n), denominator=denominator)
         got = rho_hat_bernstein(ps, p, m).integral
         assert abs(got - grid_integral(ps, p, m)) <= 2e-15
+
+
+# Eight n = 200000 samples: both integrals of each, as float.hex.
+BLAS_SCRIPT = """
+import numpy as np
+from tailrho import FgmModel, pseudo_observations, rho_hat_bernstein, rho_hat_empirical
+from tailrho import rule_of_thumb_degree
+
+n = 200_000
+for seed in range(8):
+    xy = FgmModel(0.5).sample(n, np.random.default_rng(seed))
+    ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
+    emp = rho_hat_empirical(ps, 0.5).integral
+    bern = rho_hat_bernstein(ps, 0.5, rule_of_thumb_degree(n)).integral
+    print(emp.hex(), bern.hex())
+"""
+
+
+class TestBlasThreads:
+    """The rank integral calls no BLAS, so its bits do not depend on the
+    BLAS thread count (a threaded dot splits long rows between threads)."""
+
+    def test_same_bits_at_one_and_two_threads(self):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", BLAS_SCRIPT], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].split()) == 16
+        assert outputs[0] == outputs[1]

@@ -2,8 +2,9 @@
 
 Each case hashes the exact hexadecimal form of every CellSummary field, so a
 refactor of the replicate, pool or reduction code that changes even the last
-bit of one number fails here.  The digests were captured before the summary
-and pool code was consolidated; a deliberate change of random stream or of
+bit of one number fails here.  They were last moved on purpose by the
+streams keyed by 64-replicate chunks, the BLAS-free row sums and the
+products in place of `pow`; a deliberate change of random stream or of
 reduction order must update them and say so in CHANGES.md.
 """
 
@@ -27,10 +28,10 @@ def digest(rows) -> str:
 GRID = ExperimentConfig(
     thetas=(-1.0, 0.0, 0.5), ns=(15, 40), ps=(0.1, 1.0), reps=40, seed=2024
 )
-GRID_DIGEST = "09a0b8b849b9ae669221921029cc71ba0004b52da14ea63cffe429580f258863"
-SWEEP_DIGEST = "f5c88dcecd9c770cb720236d374e278b1174be697274181053ea1427f5457fcb"
-SINGLE_REP_DIGEST = "b8f5515ed6a076d19951360715d0705d25c7362faee3dcdf583e9b10abca33a4"
-LIMIT_VARIANCE_DIGEST = "b7248fb057f4d711af18e521b3e5cbdf1b9d2f9f616b4f70e40e95ca36f93c96"
+GRID_DIGEST = "92e5f08335b2a6bbf365ae7d62931b4fca93cca0a2533e231da0af3565ad10d7"
+SWEEP_DIGEST = "12e64b175f430af647ee6b997db4ea9a8d2e8f62a095b1500ad32a77b867b49c"
+SINGLE_REP_DIGEST = "b997533d849d23936c37d29bd35a248ef45b5cc434eea78be6b4b35c500a4421"
+LIMIT_VARIANCE_DIGEST = "50c689372d2a6fb6b011368f0ed7108158d2958649c73ff8ed44832d068b26b6"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

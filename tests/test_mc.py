@@ -324,7 +324,9 @@ class TestPoolCap:
             thetas=(0.5,), ns=(15,), ps=(0.5,), degree_rule=4, reps=100, seed=3
         )
         wide = run_table(config, workers=2)
-        assert task_counts == [8]  # four blocks for each of the two processes
+        # four blocks per process would hold 13 replicates; rounded up to a
+        # stream chunk of 64, the 100 replicates make one block per process
+        assert task_counts == [2]
         assert pool == [2]
         assert wide == [run_cell(0.5, 15, 0.5, 4, reps=100, seed=3, workers=1)]
 
@@ -342,14 +344,14 @@ def loop_stats(x, true_rho):
     """The summary reduction as a loop over numpy scalars: the reference."""
     reps = x.size
     mean = math.fsum(x) / reps
-    var = math.fsum((xi - mean) ** 2 for xi in x) / (reps - 1) if reps > 1 else None
-    mse = math.fsum((xi - true_rho) ** 2 for xi in x) / reps
+    var = math.fsum((xi - mean) * (xi - mean) for xi in x) / (reps - 1) if reps > 1 else None
+    mse = math.fsum((xi - true_rho) * (xi - true_rho) for xi in x) / reps
     return abs(mean - true_rho), var, mse
 
 
 class TestSummaryReduction:
-    # with seed 971 np.square in place of ** changes mse_emp's last bit
-    # (x86-64 Linux), so that case tells the two apart
+    # with seed 971 Python's ** (the C library pow) in place of d*d changes
+    # mse_emp's last bit (x86-64 glibc), so that case tells the two apart
     @pytest.mark.parametrize("seed, reps", [(971, 200), (5, 3000), (6, 2), (7, 1)])
     def test_bit_identical_to_loop(self, seed, reps):
         rng = np.random.default_rng(seed)
@@ -362,19 +364,32 @@ class TestSummaryReduction:
         assert cell.mse_reduction_pct == 100.0 * (1.0 - mse_b / mse_e)
 
 
+def stream_sample(theta, n, seed, cell_index, rep):
+    """Replicate rep's sample, rebuilt with the public sampler: its stream
+    chunk rep // 64 first draws u and t for each earlier replicate in it."""
+    seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep // 64))
+    rng = np.random.default_rng(seq)
+    rng.random(2 * n * (rep % 64))
+    return FgmModel(theta).sample(n, rng)
+
+
 class TestKernelMatchesPublicApi:
     """The replicate kernel's score tables give, bit for bit, what the public
     estimators give on the same replicate sample."""
 
-    # at n = 20000 a chunk holds 3 replicates, so the 6-replicate block spans two
-    @pytest.mark.parametrize("n", [1, 2, 50, 20_000])
-    def test_every_replicate(self, n):
-        theta, p, seed, cell_index, start, stop = 0.5, 0.9, 11, 4, 3, 9
+    # at n = 20000 a chunk holds 3 replicates, so the 6-replicate block spans
+    # two chunks and one stream; the other blocks cross a stream boundary
+    @pytest.mark.parametrize(
+        "n, start, stop",
+        [pytest.param(n, start, 134, id=str(n))
+         for n, start in [(1, 64), (2, 64), (50, 64), (20_000, 128)]],
+    )
+    def test_every_replicate(self, n, start, stop):
+        theta, p, seed, cell_index = 0.5, 0.9, 11, 4
         m_values = [1, rule_of_thumb_degree(n), n + 7]
         emp, bern = mc._replicate_block(((theta, n, p, m_values, cell_index), seed, start, stop))
         for i, rep in enumerate(range(start, stop)):
-            seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep))
-            xy = FgmModel(theta).sample(n, np.random.default_rng(seq))
+            xy = stream_sample(theta, n, seed, cell_index, rep)
             ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
             assert emp[i] == rho_hat_empirical(ps, p).value
             assert bern[i].tolist() == [rho_hat_bernstein(ps, p, m).value for m in m_values]
@@ -386,13 +401,95 @@ class TestChunking:
     @pytest.mark.parametrize("n, m_values", [(1, [1]), (9, [1, 4, 16]), (50, [13])])
     @pytest.mark.parametrize("rows", [1, 7])
     def test_chunk_size_leaves_bits(self, monkeypatch, n, m_values, rows):
-        args = ((-0.5, n, 0.5, m_values, 3), 17, 5, 25)
+        args = ((-0.5, n, 0.5, m_values, 3), 17, 64, 84)
         emp, bern = mc._replicate_block(args)
         assert mc.CHUNK // n >= 20  # the default runs this block as one chunk
         monkeypatch.setattr(mc, "CHUNK", rows * n)
         chunked_emp, chunked_bern = mc._replicate_block(args)
         assert chunked_emp.tolist() == emp.tolist()
         assert chunked_bern.tolist() == bern.tolist()
+
+
+def joined(blocks):
+    """The (emp, bern) values of consecutive blocks, as lists."""
+    return (
+        np.concatenate([emp for emp, _ in blocks]).tolist(),
+        np.concatenate([bern for _, bern in blocks]).tolist(),
+    )
+
+
+class TestStreams:
+    """Replicate r of a cell draws from stream chunk r // 64 (mc.STREAM);
+    how the replicates are cut into blocks, kernel chunks and workers
+    changes no bit."""
+
+    def test_stream_is_fixed(self):
+        assert mc.STREAM == 64
+
+    # n = 2000 > CHUNK / 64: at the default CHUNK a stream spans kernel chunks
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_block_starts_and_chunks_leave_bits(self, monkeypatch, n):
+        cell = (0.5, n, 0.5, [1, rule_of_thumb_degree(n)], 2)
+        whole = joined([mc._replicate_block((cell, 7, 0, 150))])
+        for cuts in ([0, 64, 128, 150], [0, 128, 150], [0, 64, 150]):
+            blocks = [mc._replicate_block((cell, 7, a, b)) for a, b in zip(cuts, cuts[1:])]
+            assert joined(blocks) == whole
+        # kernel chunks of 1 and 7 rows hold part of a stream, of 100 rows
+        # parts of two streams, of 150 rows the whole block
+        for rows in (1, 7, 100, 150):
+            monkeypatch.setattr(mc, "CHUNK", rows * n + n // 2)
+            assert joined([mc._replicate_block((cell, 7, 0, 150))]) == whole
+
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        """Records every task's (cell index, start, stop); computes nothing."""
+        record = []
+
+        def fake_pool_map(fn, tasks, workers):
+            record.extend((cell[4], start, stop) for cell, _, start, stop in tasks)
+            return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
+                    for cell, _, start, stop in tasks]
+
+        monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
+        return record
+
+    @pytest.mark.parametrize("reps", [1, 63, 64, 65, 100, 1000, 10_000])
+    @pytest.mark.parametrize("cells, processes", [(1, 1), (1, 2), (1, 8), (30, 2), (7, 8)])
+    def test_blocks_start_at_stream_multiples(self, monkeypatch, spans, reps, cells, processes):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: processes)
+        grid = [(0.5, 20, 0.5, [4], k) for k in range(cells)]
+        mc._simulate(grid, reps, 1, processes)
+        for k in range(cells):
+            cuts = [(start, stop) for cell, start, stop in spans if cell == k]
+            assert all(start % mc.STREAM == 0 for start, _ in cuts)
+            assert [start for start, _ in cuts] == [0] + [stop for _, stop in cuts[:-1]]
+            assert cuts[-1][1] == reps
+
+    def test_hundred_replicates_make_two_blocks(self, monkeypatch, spans):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        mc._simulate([(0.5, 20, 0.5, [4], 0)], 100, 1, 2)
+        assert spans == [(0, 0, 64), (0, 64, 100)]
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_worker_counts_leave_bits(self, monkeypatch, workers):
+        grid = [(0.5, 30, 0.5, [9], 0), (-1.0, 12, 1.0, [1, 5], 1)]
+        serial = mc._simulate(grid, 300, 5, 1)
+        # as many usable CPUs as workers, served in this process
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "started", [])
+        wide = mc._simulate(grid, 300, 5, workers)
+        assert RecordingExecutor.started == [workers]
+        for (truth, emp, bern), (wide_truth, wide_emp, wide_bern) in zip(serial, wide):
+            assert (truth, emp.tolist(), bern.tolist()) == (
+                wide_truth, wide_emp.tolist(), wide_bern.tolist()
+            )
+
+    @pytest.mark.parametrize("start", [1, 5, 63, 65, 100])
+    def test_misaligned_block_rejected(self, start):
+        message = f"replicate block starts at {start}, not a multiple of STREAM=64"
+        with pytest.raises(ValueError, match=message):
+            mc._replicate_block(((0.5, 20, 0.5, [4], 0), 1, start, start + 10))
 
 
 class TestBatchedChecks:
@@ -414,7 +511,7 @@ class TestBatchedChecks:
             return v
 
         monkeypatch.setattr(FgmModel, "from_uniforms", patched)
-        with pytest.raises(RuntimeError) as info:  # four blocks of two rows each
+        with pytest.raises(RuntimeError) as info:  # one block of eight rows
             run_cell(0.5, 20, 0.25, 7, reps=8, seed=1, workers=1)
         cell = "simulation cell (theta=0.5, n=20, p=0.25) failed: "
         assert str(info.value).startswith(cell + message)
