@@ -24,9 +24,14 @@ stream; the chunk only bounds memory to O(CHUNK) floats per array plus one
 degree's tail weights.
 
 Every entry point (a grid, one cell, a degree sweep, the limit variance)
-cuts its cells into replicate blocks and sends all of them through one
-process pool, so a single cell uses every CPU too; the summaries are
-reduced in this process.  Worker count: pass `workers` explicitly, or set
+runs its cells as replicate blocks on one path.  A job whose estimated work
+(reps * n * (RANK_COST + score tables), summed over its cells; no clock) is
+below POOL_MIN_WORK runs in this process, one block per cell, since a
+process pool costs more to start than such a job takes.  A larger job cuts
+its cells into about four blocks per process and sends all of them through
+one process pool, so a single cell uses every CPU too.  Either way the
+summaries are reduced in this process, and the numbers do not depend on
+the choice.  Worker count: pass `workers` explicitly, or set
 TAILRHO_THREADS (0 or unset means one worker per usable CPU).  No more
 processes start than the CPUs this process may run on.
 """
@@ -76,6 +81,19 @@ CHUNK = 2**16
 # Replicates per random stream (see the module docstring).  A replicate
 # block must start at a multiple of it.
 STREAM = 64
+
+# The pool rule (see `_processes`).  A job's work is estimated, with no
+# clock, as the sum over its cells of reps * n * (RANK_COST + score tables):
+# one unit is one sample value's share of a rank integral over one score
+# table, and RANK_COST prices the draws, the FGM inversion and the ranks in
+# those units.  A job below POOL_MIN_WORK units runs in this process, since
+# starting a process pool would cost more than it saves.  Both are measured
+# on a 2-CPU x86-64 machine: RANK_COST from the kernel's time per replicate
+# with 0 and 60 score tables (15-25 at n = 50, 200 and 1000), and
+# POOL_MIN_WORK where two processes started to beat one (1.0-1.8e7 units,
+# about 100 ms of work, for grids, single cells and sweeps).
+RANK_COST = 20
+POOL_MIN_WORK = 15 * 10**6
 
 THREADS_ENV = "TAILRHO_THREADS"
 
@@ -179,6 +197,15 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _processes(cells: list[tuple], reps: int, workers: int) -> int:
+    """Processes a job runs on: one if its estimated work (see RANK_COST) is
+    below POOL_MIN_WORK, else `workers` capped at the usable CPUs."""
+    work = reps * sum(n * (RANK_COST + 1 + len(m)) for _, n, _, m, _ in cells)
+    if work < POOL_MIN_WORK:
+        return 1
+    return min(workers, _usable_cpus())
+
+
 def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Run replicates [start, stop) of one cell; returns their values in order.
 
@@ -238,18 +265,22 @@ def _simulate(
     """(true rho, emp, bern) of every cell, in cell order.
 
     A cell is (theta, n, p, m_values, cell_index); bern has one column per
-    degree in m_values.  Every cell is checked before any work.  Each cell is
-    cut into replicate blocks, about four per process for the whole job,
-    rounded up to a multiple of STREAM and never spanning two cells, and all
-    the blocks go through one pool; each block's values land in its cell's
-    slots.
+    degree in m_values.  Every cell is checked before any work.  A job that
+    runs in this process (see `_processes`) makes one block per cell, so
+    each score table is built once per kernel chunk.  A pooled job cuts each
+    cell into replicate blocks, about four per process for the whole job,
+    rounded up to a multiple of STREAM and never spanning two cells.  Each
+    block's values land in its cell's slots.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     truths = [_true_rho(theta, n, p) for theta, n, p, _, _ in cells]
-    processes = min(workers, _usable_cpus())
-    block = -(-reps * len(cells) // (4 * processes))
-    block = min(reps, -(-block // STREAM) * STREAM)
+    processes = _processes(cells, reps, workers)
+    if processes == 1:
+        block = reps
+    else:
+        block = -(-reps * len(cells) // (4 * processes))
+        block = min(reps, -(-block // STREAM) * STREAM)
     spans = [
         (k, start, min(start + block, reps))
         for k in range(len(cells))
@@ -258,31 +289,38 @@ def _simulate(
     tasks = [(cells[k], seed, start, stop) for k, start, stop in spans]
     emps = [np.empty(reps) for _ in cells]
     berns = [np.empty((reps, len(cell[3]))) for cell in cells]
-    blocks = _pool_map(_replicate_block, tasks, workers)
+    blocks = _pool_map(_replicate_block, tasks, processes)
     for (k, start, stop), (emp, bern) in zip(spans, blocks):
         emps[k][start:stop] = emp
         berns[k][start:stop] = bern
     return list(zip(truths, emps, berns))
 
 
+def _stats(x: np.ndarray, true_rho: float) -> tuple[float, float | None, float]:
+    """(|bias|, variance, mse) of one estimator's replicate values, reduced
+    in index order with math.fsum."""
+    reps = x.size
+    # Squares are d*d, correctly rounded everywhere; Python's d**2 calls the
+    # C library's pow, whose last bit differs between platforms.
+    mean = math.fsum(x.tolist()) / reps
+    sq_dev = math.fsum([d * d for d in (x - mean).tolist()])
+    sq_err = math.fsum([d * d for d in (x - true_rho).tolist()])
+    var = sq_dev / (reps - 1) if reps > 1 else None
+    return abs(mean - true_rho), var, sq_err / reps
+
+
+def _summary(theta: float, n: int, p: float, m: int, emp: tuple, bern: tuple) -> CellSummary:
+    """One cell's summary from the `_stats` of both estimators."""
+    (bias_e, var_e, mse_e), (bias_b, var_b, mse_b) = emp, bern
+    reduction = 100.0 * (1.0 - mse_b / mse_e) if mse_e > 0.0 else None
+    return CellSummary(theta, n, p, m, bias_e, bias_b, var_e, var_b, mse_e, mse_b, reduction)
+
+
 def _summarize(
     theta: float, n: int, p: float, m: int, emp: np.ndarray, bern: np.ndarray, true_rho: float
 ) -> CellSummary:
-    """Reduce one cell's replicate values, in index order with math.fsum."""
-    reps = emp.size
-
-    def stats(x: np.ndarray) -> tuple[float, float | None, float]:
-        # Squares are d*d, correctly rounded everywhere; Python's d**2 calls
-        # the C library's pow, whose last bit differs between platforms.
-        mean = math.fsum(x.tolist()) / reps
-        sq_dev = math.fsum([d * d for d in (x - mean).tolist()])
-        sq_err = math.fsum([d * d for d in (x - true_rho).tolist()])
-        var = sq_dev / (reps - 1) if reps > 1 else None
-        return abs(mean - true_rho), var, sq_err / reps
-
-    (bias_e, var_e, mse_e), (bias_b, var_b, mse_b) = stats(emp), stats(bern)
-    reduction = 100.0 * (1.0 - mse_b / mse_e) if mse_e > 0.0 else None
-    return CellSummary(theta, n, p, m, bias_e, bias_b, var_e, var_b, mse_e, mse_b, reduction)
+    """Reduce one cell's replicate values."""
+    return _summary(theta, n, p, m, _stats(emp, true_rho), _stats(bern, true_rho))
 
 
 def run_cell(
@@ -336,16 +374,17 @@ def degree_sweep(
     """Summaries for every degree m_min..m_max at one (theta, n, p).
 
     All degrees see the same replicate samples (common random numbers), so
-    the per-degree curves vary only through m; the empirical summary is
-    repeated on every row for plotting convenience.
+    the per-degree curves vary only through m; the empirical summary,
+    reduced once, is repeated on every row for plotting convenience.
     """
     if not 1 <= m_min <= m_max <= MAX_DEGREE:
         raise ValueError(f"need 1 <= m_min <= m_max <= {MAX_DEGREE}, got {m_min}..{m_max}")
     workers = resolve_workers(workers)
     m_values = list(range(m_min, m_max + 1))
     [(true_rho, emp, bern)] = _simulate([(theta, n, p, m_values, cell_index)], reps, seed, workers)
+    emp_stats = _stats(emp, true_rho)
     return [
-        _summarize(theta, n, p, m, emp, bern[:, j], true_rho)
+        _summary(theta, n, p, m, emp_stats, _stats(bern[:, j], true_rho))
         for j, m in enumerate(m_values)
     ]
 
@@ -369,5 +408,4 @@ def estimate_limit_variance(
         raise ValueError("need at least two replicates for a variance")
     workers = resolve_workers(workers)
     [(true_rho, emp, _)] = _simulate([(theta, n, p, [], 0)], reps, seed, workers)
-    # no smoothed estimator runs; the empirical values fill both columns
-    return n * _summarize(theta, n, p, 0, emp, emp, true_rho).var_emp
+    return n * _stats(emp, true_rho)[1]

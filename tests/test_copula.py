@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tailrho import (
     FgmModel,
@@ -13,6 +14,7 @@ from tailrho import (
     pseudo_observations,
     rule_of_thumb_degree,
 )
+from tailrho.copula import _margin_ranks
 from tailrho.estimators import bernstein_scores
 from definitions import bernstein_copula, copula_grid, empirical_copula, kernel_vector
 
@@ -81,6 +83,62 @@ class TestPseudoObservations:
         pairs = set(zip(ps.u.tolist(), ps.v.tolist()))
         pairs2 = set(zip(ps2.u.tolist(), ps2.v.tolist()))
         assert pairs == pairs2
+
+
+def stable_ranks(values):
+    """Ranks 1..n along the last axis from a stable argsort: the reference."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    ranks = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[-1] + 1), axis=-1)
+    return ranks
+
+
+@st.composite
+def distinct_rows(draw, min_n=1):
+    """A (k, n) pair of margins, every value distinct; wide floats, or small
+    integers so that neighbouring ranks are one apart."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(min_n, 30))
+    elements = draw(st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-200, 200).map(float),
+    ]))
+    return tuple(draw(arrays(np.float64, (k, n), elements=elements, unique=True)) for _ in "xy")
+
+
+class TestRankProperties:
+    """Ranks sort without a stable sort: a row that passes the checks has
+    one sorting permutation, and a failing row still fails."""
+
+    @given(rows=distinct_rows())
+    @settings(max_examples=60)
+    def test_equal_stable_ranks(self, rows):
+        x, y = rows
+        rx, ry = _margin_ranks(x, y)
+        np.testing.assert_array_equal(rx, stable_ranks(x))
+        np.testing.assert_array_equal(ry, stable_ranks(y))
+
+    @given(rows=distinct_rows(min_n=2), data=st.data())
+    @settings(max_examples=60)
+    def test_tie_anywhere_raises(self, rows, data):
+        k, n = rows[0].shape
+        margin = data.draw(st.sampled_from([0, 1]))
+        row = data.draw(st.integers(0, k - 1))
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[margin][row, j] = rows[margin][row, i]
+        label = ["first", "second"][margin]
+        with pytest.raises(TiesError, match=f"duplicate values in the {label} margin"):
+            _margin_ranks(*rows)
+
+    @given(rows=distinct_rows(), data=st.data())
+    @settings(max_examples=30)
+    def test_nan_anywhere_raises(self, rows, data):
+        k, n = rows[0].shape
+        margin = data.draw(st.sampled_from([0, 1]))
+        rows[margin][data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1))] = np.nan
+        with pytest.raises(ValueError, match="sample contains non-finite values") as info:
+            _margin_ranks(*rows)
+        assert not isinstance(info.value, TiesError)
 
 
 class TestJitter:

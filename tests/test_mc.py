@@ -170,6 +170,14 @@ class TestDegreeSweep:
         middle = rows[1]
         assert middle == direct
 
+    def test_empirical_fields_match_run_cell(self):
+        rows = degree_sweep(-0.5, 40, 0.5, 1, 8, reps=200, seed=13, workers=1)
+        direct = run_cell(-0.5, 40, 0.5, 3, reps=200, seed=13, workers=1)
+        for row in rows:
+            assert (row.abs_bias_emp, row.var_emp, row.mse_emp) == (
+                direct.abs_bias_emp, direct.var_emp, direct.mse_emp
+            )
+
     def test_degree_range_validation(self):
         with pytest.raises(ValueError):
             degree_sweep(0.0, 20, 0.5, 3, 2, reps=10, seed=1, workers=1)
@@ -266,8 +274,10 @@ def negate(x):
 class TestPoolCap:
     @pytest.fixture
     def pool(self, monkeypatch):
-        """Three usable CPUs and a recording executor; yields the record."""
+        """Three usable CPUs, a recording executor and a pool for every job,
+        however small; yields the record."""
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
         monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "started", [])
         return RecordingExecutor.started
@@ -338,6 +348,69 @@ class TestPoolCap:
         assert task_counts == [18]  # one block per cell: 18 cells outnumber 4 per process
         assert pool == [2]
         assert wide == run_table(config, workers=1)
+
+
+class TestPoolRule:
+    """A job starts a pool only when its estimated work reaches POOL_MIN_WORK;
+    the choice depends on the job's shape and the worker count alone, and a
+    job run in this process makes one block per cell."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Two usable CPUs; records every _pool_map call's process count and
+        (cell index, start, stop) spans, and computes nothing."""
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        record = []
+
+        def fake_pool_map(fn, tasks, processes):
+            record.append((processes, [(cell[4], start, stop) for cell, _, start, stop in tasks]))
+            return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
+                    for cell, _, start, stop in tasks]
+
+        monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
+        return record
+
+    def reference_grid(self, reps):
+        return ExperimentConfig(
+            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(50, 200), ps=(0.1, 0.5, 1.0),
+            reps=reps, seed=42,
+        )
+
+    # the benchmark's workloads (perfbench/workloads.py): a 60-degree sweep
+    # at n = 200 and the reference grid, 100 replicates each
+    def test_benchmark_sweep_runs_in_process(self, calls):
+        degree_sweep(0.0, 200, 0.5, 1, 60, reps=100, seed=1, workers=2)
+        assert calls == [(1, [(0, 0, 100)])]
+
+    def test_benchmark_grid_runs_in_process(self, calls):
+        run_table(self.reference_grid(100), workers=2)
+        assert calls == [(1, [(k, 0, 100) for k in range(30)])]
+
+    def test_reference_grid_starts_pool(self, calls):
+        run_table(self.reference_grid(10_000), workers=2)
+        # 30 cells outnumber four blocks per process: one block each
+        assert calls == [(2, [(k, 0, 10_000) for k in range(30)])]
+
+    def test_large_cell_starts_pool(self, calls):
+        run_cell(0.5, 200, 0.1, 34, reps=10_000, seed=1, workers=2)
+        [(processes, spans)] = calls
+        assert processes == 2
+        assert len(spans) == 8  # four blocks per process
+
+    def test_one_worker_never_pools(self, calls):
+        run_table(self.reference_grid(10_000), workers=1)
+        assert calls == [(1, [(k, 0, 10_000) for k in range(30)])]
+
+    def test_threshold_is_the_work_estimate(self, monkeypatch):
+        # reps * n * (RANK_COST + 1 + degrees) units: 250 per replicate here
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "RANK_COST", 20)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 2500)
+        cells = [(0.5, 10, 0.5, [4, 5, 6, 7], 0)]
+        assert mc._processes(cells, 10, 8) == 2
+        assert mc._processes(cells, 9, 8) == 1
+        assert mc._processes(cells * 2, 5, 8) == 2  # summed over cells
+        assert mc._processes(cells, 10, 1) == 1
 
 
 def loop_stats(x, true_rho):
@@ -467,6 +540,7 @@ class TestStreams:
 
     def test_hundred_replicates_make_two_blocks(self, monkeypatch, spans):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)  # pooled, however small
         mc._simulate([(0.5, 20, 0.5, [4], 0)], 100, 1, 2)
         assert spans == [(0, 0, 64), (0, 64, 100)]
 
@@ -474,8 +548,10 @@ class TestStreams:
     def test_worker_counts_leave_bits(self, monkeypatch, workers):
         grid = [(0.5, 30, 0.5, [9], 0), (-1.0, 12, 1.0, [1, 5], 1)]
         serial = mc._simulate(grid, 300, 5, 1)
-        # as many usable CPUs as workers, served in this process
+        # as many usable CPUs as workers, served in this process, and a pool
+        # for this small job
         monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
         monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "started", [])
         wide = mc._simulate(grid, 300, 5, workers)
