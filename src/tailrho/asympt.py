@@ -1,10 +1,14 @@
 """First-order asymptotics: pointwise bias and variance-gain coefficients for
-Bernstein smoothing, the normalized corner-square integral operator, the
-MSE-balancing smoothing degree, and the resulting MSE expansions.
+Bernstein smoothing, the normalized corner-square integral operator, and one
+`AsymptoticReport` per (model, p, n) setting holding the two corner
+integrals, the MSE-balancing smoothing degree and the MSE expansions.
 
 Smoothing a degree-m Bernstein copula trades a deterministic bias of order
 1/m against a variance reduction of order 1/(n*sqrt(m)); balancing the two
-leading terms gives a degree proportional to n^(2/3).
+leading terms gives a degree proportional to n^(2/3).  `asymptotic_report`,
+`optimal_degree`, `mse_expansions` and the `asympt` command all read the
+report built by `_asymptotic_report`, the one place those quantities are
+computed.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ __all__ = [
     "bias_coeff",
     "var_gain",
     "normalized_tail_integral",
-    "corner_integrals",
     "rule_of_thumb_degree",
-    "balancing_degree",
     "optimal_degree",
     "mse_expansions",
     "asymptotic_report",
@@ -104,36 +106,6 @@ def rule_of_thumb_degree(n: int) -> int:
     return max(1, m)
 
 
-def corner_integrals(model, p: float, tol: float = 1e-9) -> tuple[float, float]:
-    """(B, V): normalized corner integrals of the bias and variance-gain
-    coefficients, the pair every expansion quantity below is built from."""
-    bias_term = normalized_tail_integral(lambda u, v: bias_coeff(model, u, v), p, tol)
-    gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p, tol)
-    return bias_term, gain_term
-
-
-def balancing_degree(bias_term: float, gain_term: float, n: int) -> float:
-    """{4 B^2 / V * n}^(2/3); DegenerateBiasError when B vanishes."""
-    if abs(bias_term) < 1e-12:
-        raise DegenerateBiasError(
-            "leading bias term vanishes; fall back to the n^(2/3) rule of thumb"
-        )
-    return (4.0 * bias_term**2 / gain_term * n) ** (2.0 / 3.0)
-
-
-def optimal_degree(model, p: float, n: int, tol: float = 1e-9) -> float:
-    """MSE-balancing Bernstein degree {4 B^2 / V * n}^(2/3).
-
-    B and V are the normalized corner-square integrals of the bias and
-    variance-gain coefficients.  Returned unrounded; callers floor it before
-    use.  Raises DegenerateBiasError when the bias term vanishes (independence)
-    and every degree large enough is asymptotically fine.
-    """
-    if n < 1:
-        raise ValueError(f"sample size n={n} must be >= 1")
-    return balancing_degree(*corner_integrals(model, p, tol), n)
-
-
 @dataclass(frozen=True)
 class MseExpansion:
     """First-order MSE expansions at a given (n, m).
@@ -147,44 +119,16 @@ class MseExpansion:
     mse_bernstein: float | None
     mse_empirical: float | None
 
-    @classmethod
-    def from_integrals(cls, bias_term, gain_term, n, m, limit_variance=None):
-        """Expansions at (n, m) from the corner integrals (B, V)."""
-        difference = -gain_term / (n * math.sqrt(m)) + (bias_term / m) ** 2
-        if limit_variance is None:
-            return cls(difference, None, None)
-        base = limit_variance / n
-        return cls(difference, base + difference, base)
-
-
-def mse_expansions(
-    model,
-    p: float,
-    n: int,
-    m: int,
-    limit_variance: float | None = None,
-    tol: float = 1e-9,
-) -> MseExpansion:
-    """First-order MSE of both estimators at sample size n and degree m.
-
-    The empirical estimator's expansion is limit_variance/n; the smoothed one
-    subtracts the variance gain V/(n*sqrt(m)) and adds the squared bias
-    (B/m)^2.  With limit_variance omitted (it is only available as a Monte
-    Carlo estimate), just the difference of the two expansions is filled in.
-    """
-    if m < 1:
-        raise ValueError(f"degree m={m} must be >= 1")
-    return MseExpansion.from_integrals(*corner_integrals(model, p, tol), n, m, limit_variance)
-
 
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Expansion summary for one (model, p, n) setting.
 
-    bias_term and gain_term are the normalized corner integrals of the bias
-    and variance-gain coefficients; m_opt is None when the bias term is
-    degenerate.  The absolute MSE expansions are filled only when a Monte
-    Carlo estimate of the limiting variance is supplied.
+    bias_term and gain_term are the normalized corner integrals B and V of
+    the bias and variance-gain coefficients; m_opt is None when the bias term
+    is degenerate, and `degree` then falls back to the rule of thumb.  The
+    absolute MSE expansions are filled only when a Monte Carlo estimate of
+    the limiting variance is supplied.
     """
 
     p: float
@@ -193,44 +137,87 @@ class AsymptoticReport:
     gain_term: float
     m_opt: float | None
     rule_degree: int
-    mse_bernstein_expansion: float | None
-    mse_empirical_expansion: float | None
     limit_variance: float | None
+
+    @property
+    def degree(self) -> int:
+        """The degree to use: floor(m_opt), at least 1, else the rule of thumb."""
+        return self.rule_degree if self.m_opt is None else max(1, math.floor(self.m_opt))
+
+    def expansion(self, m: int) -> MseExpansion:
+        """First-order MSE of both estimators at degree m: limit_variance/n
+        for the empirical one, minus V/(n*sqrt(m)) plus (B/m)^2 when smoothed."""
+        if m < 1:
+            raise ValueError(f"degree m={m} must be >= 1")
+        difference = -self.gain_term / (self.n * math.sqrt(m)) + (self.bias_term / m) ** 2
+        if self.limit_variance is None:
+            return MseExpansion(difference, None, None)
+        base = self.limit_variance / self.n
+        return MseExpansion(difference, base + difference, base)
+
+    @property
+    def mse_bernstein_expansion(self) -> float | None:
+        return self.expansion(self.degree).mse_bernstein
+
+    @property
+    def mse_empirical_expansion(self) -> float | None:
+        return self.expansion(self.degree).mse_empirical
+
+
+def _asymptotic_report(
+    model, p: float, n: int, limit_variance: float | None = None
+) -> AsymptoticReport:
+    """The one computation of the corner integrals (B, V) and of the
+    MSE-balancing degree m_opt = {4 B^2 / V * n}^(2/3), None when B vanishes.
+
+    Checks n before p, so the command line reports a bad n first.
+    """
+    rule_degree = rule_of_thumb_degree(n)
+    bias_term = normalized_tail_integral(lambda u, v: bias_coeff(model, u, v), p)
+    gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p)
+    degenerate = abs(bias_term) < 1e-12
+    m_opt = None if degenerate else (4.0 * bias_term**2 / gain_term * n) ** (2.0 / 3.0)
+    return AsymptoticReport(p, n, bias_term, gain_term, m_opt, rule_degree, limit_variance)
+
+
+def optimal_degree(model, p: float, n: int) -> float:
+    """MSE-balancing Bernstein degree {4 B^2 / V * n}^(2/3).
+
+    B and V are the normalized corner-square integrals of the bias and
+    variance-gain coefficients.  Returned unrounded; callers floor it before
+    use.  Raises DegenerateBiasError when the bias term vanishes (independence)
+    and every degree large enough is asymptotically fine.
+    """
+    m_opt = _asymptotic_report(model, p, n).m_opt
+    if m_opt is None:
+        raise DegenerateBiasError(
+            "leading bias term vanishes; fall back to the n^(2/3) rule of thumb"
+        )
+    return m_opt
+
+
+def mse_expansions(
+    model, p: float, n: int, m: int, limit_variance: float | None = None
+) -> MseExpansion:
+    """First-order MSE of both estimators at sample size n and degree m; see
+    `AsymptoticReport.expansion`.  With limit_variance omitted (it is only
+    available as a Monte Carlo estimate), just the difference is filled in.
+    """
+    return _asymptotic_report(model, p, n, limit_variance).expansion(m)
 
 
 def asymptotic_report(
-    model,
-    p: float,
-    n: int,
-    limit_variance: float | None = None,
-    tol: float = 1e-9,
+    model, p: float, n: int, limit_variance: float | None = None
 ) -> AsymptoticReport:
     """Assemble the expansion quantities for one setting.
 
     Degenerate bias (independence) produces m_opt = None with a warning; the
     rule-of-thumb degree is always reported as the practical fallback.
     """
-    bias_term, gain_term = corner_integrals(model, p, tol)
-    rule_degree = rule_of_thumb_degree(n)
-    try:
-        m_opt = balancing_degree(bias_term, gain_term, n)
-        m_for_mse = max(1, math.floor(m_opt))
-    except DegenerateBiasError:
+    report = _asymptotic_report(model, p, n, limit_variance)
+    if report.m_opt is None:
         warnings.warn(
             "leading bias term vanishes; using the n^(2/3) rule of thumb",
             stacklevel=2,
         )
-        m_opt = None
-        m_for_mse = rule_degree
-    expansion = MseExpansion.from_integrals(bias_term, gain_term, n, m_for_mse, limit_variance)
-    return AsymptoticReport(
-        p=p,
-        n=n,
-        bias_term=bias_term,
-        gain_term=gain_term,
-        m_opt=m_opt,
-        rule_degree=rule_degree,
-        mse_bernstein_expansion=expansion.mse_bernstein,
-        mse_empirical_expansion=expansion.mse_empirical,
-        limit_variance=limit_variance,
-    )
+    return report

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -21,13 +22,7 @@ import tempfile
 import numpy as np
 
 from . import mc
-from .asympt import (
-    DegenerateBiasError,
-    MseExpansion,
-    balancing_degree,
-    corner_integrals,
-    rule_of_thumb_degree,
-)
+from .asympt import _asymptotic_report, rule_of_thumb_degree
 from .copula import TiesError, jitter_margin, pseudo_observations
 from .estimators import P_MIN, rho_hat_bernstein, rho_hat_empirical
 from .fgm import FgmModel
@@ -59,7 +54,7 @@ def _fmt(value: float | None) -> str:
 
 
 def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column numeric table: comma or whitespace separated,
+    """Read a two-column numeric UTF-8 table: comma or whitespace separated,
     '#' starts a comment, blank lines ignored, at least two rows required."""
     xs: list[float] = []
     ys: list[float] = []
@@ -68,23 +63,26 @@ def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     except OSError as exc:
         raise DataFileError(f"cannot open {path}: {exc}") from exc
     with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise DataFileError(
-                    f"line {lineno}: expected two columns, got {len(parts)}"
-                )
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise DataFileError(f"line {lineno}: {exc}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DataFileError(f"line {lineno}: non-finite value")
-            xs.append(x)
-            ys.append(y)
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.replace(",", " ").split()
+                if len(parts) != 2:
+                    raise DataFileError(
+                        f"line {lineno}: expected two columns, got {len(parts)}"
+                    )
+                try:
+                    x, y = float(parts[0]), float(parts[1])
+                except ValueError as exc:
+                    raise DataFileError(f"line {lineno}: {exc}") from exc
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise DataFileError(f"line {lineno}: non-finite value")
+                xs.append(x)
+                ys.append(y)
+        except UnicodeDecodeError as exc:
+            raise DataFileError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     if len(xs) < 2:
         raise DataFileError(f"need at least 2 data rows, found {len(xs)}")
     return np.asarray(xs), np.asarray(ys)
@@ -103,13 +101,20 @@ def _write_atomic(path: str, lines: list[str]) -> None:
         raise
 
 
-def _missing_out_dir(path: str | None) -> bool:
-    """True, with a message on stderr, if the directory of `path` is missing."""
-    directory = os.path.dirname(os.path.abspath(path)) if path else os.curdir
-    missing = not os.path.isdir(directory)
-    if missing:
+def _bad_out(path: str | None) -> bool:
+    """True, with a message on stderr, if `path` cannot become a result file:
+    it names no file (empty, ends in a separator, or is a directory) or its
+    directory is missing.  None means no --out was given."""
+    if path is None:
+        return False
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.basename(path) or os.path.isdir(path):
+        print(f"error: --out {path!r} must name a file", file=sys.stderr)
+    elif not os.path.isdir(directory):
         print(f"error: output directory {directory} does not exist", file=sys.stderr)
-    return missing
+    else:
+        return False
+    return True
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -137,11 +142,33 @@ def _degree_arg(text: str) -> str | int:
         ) from exc
 
 
-def _summary_row(cell: mc.CellSummary, with_reduction: bool) -> str:
-    """CSV row of the cell's fields in order: ints as is, floats via _fmt."""
-    fields = [getattr(cell, f.name) for f in dataclasses.fields(cell)]
-    fields = fields[: None if with_reduction else -1]
+def _summary_row(cell: mc.CellSummary, columns: int) -> str:
+    """CSV row of the cell's first `columns` fields: ints as is, floats via _fmt."""
+    fields = [getattr(cell, f.name) for f in dataclasses.fields(cell)][:columns]
     return ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in fields)
+
+
+def _run_and_write(out: str, run, header: str, noun: str) -> int:
+    """Check `out`, call `run` for the summaries, write them as CSV under
+    `header` (one column per header field), and report the file written.
+
+    A ValueError from `run` is a usage error (exit 2), a RuntimeError a
+    failed simulation cell (exit 1); either way no file is written.
+    """
+    if _bad_out(out):
+        return EXIT_USAGE
+    try:
+        rows = run()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    columns = header.count(",") + 1
+    _write_atomic(out, [header] + [_summary_row(row, columns) for row in rows])
+    print(f"wrote {len(rows)} {noun} to {out}")
+    return EXIT_OK
 
 
 def _estimate_flag_error(args) -> str | None:
@@ -158,7 +185,7 @@ def cmd_estimate(args) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    if _missing_out_dir(args.out):
+    if _bad_out(args.out):
         return EXIT_USAGE
     try:
         x, y = load_pairs(args.input)
@@ -214,72 +241,39 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if _missing_out_dir(args.out):
-        return EXIT_USAGE
-    try:
-        summaries = mc.run_table(config, workers=workers)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    lines = [SIMULATE_HEADER]
-    lines += [_summary_row(cell, with_reduction=True) for cell in summaries]
-    _write_atomic(args.out, lines)
-    print(f"wrote {len(summaries)} cells to {args.out}")
-    return EXIT_OK
+    run = functools.partial(mc.run_table, config, workers=workers)
+    return _run_and_write(args.out, run, SIMULATE_HEADER, "cells")
 
 
 def cmd_sweep(args) -> int:
-    if _missing_out_dir(args.out):
-        return EXIT_USAGE
-    try:
-        rows = mc.degree_sweep(
-            args.theta,
-            args.n,
-            args.p,
-            1,
-            args.m_max,
-            reps=args.reps,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    lines = [SWEEP_HEADER]
-    lines += [_summary_row(cell, with_reduction=False) for cell in rows]
-    _write_atomic(args.out, lines)
-    print(f"wrote {len(rows)} degrees to {args.out}")
-    return EXIT_OK
+    run = functools.partial(
+        mc.degree_sweep, args.theta, args.n, args.p, 1, args.m_max, reps=args.reps, seed=args.seed
+    )
+    return _run_and_write(args.out, run, SWEEP_HEADER, "degrees")
 
 
 def cmd_asympt(args) -> int:
     try:
         model = FgmModel(args.theta)
-        rule_m = rule_of_thumb_degree(args.n)
-        # for this family the bias coefficient integrates to -2 * tail rho
-        bias_closed = -2.0 * model.rho_tail_analytic(args.p)
-        bias_quad, gain_quad = corner_integrals(model, args.p)
+        report = _asymptotic_report(model, args.p, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # for this family the bias coefficient integrates to -2 * tail rho
+    bias_closed = -2.0 * model.rho_tail_analytic(args.p)
     print(f"theta = {_fmt(args.theta)}")
     print(f"p = {_fmt(args.p)}")
     print(f"n = {args.n}")
     print(f"bias integral (closed form) = {_fmt(bias_closed)}")
-    print(f"bias integral (quadrature) = {_fmt(bias_quad)}")
-    print(f"variance-gain integral = {_fmt(gain_quad)}")
-    try:
-        m_opt = balancing_degree(bias_quad, gain_quad, args.n)
-        m_star = max(1, math.floor(m_opt))
-        print(f"optimal degree = {_fmt(m_opt)} (floored: {m_star})")
-    except DegenerateBiasError:
-        m_star = rule_m
+    print(f"bias integral (quadrature) = {_fmt(report.bias_term)}")
+    print(f"variance-gain integral = {_fmt(report.gain_term)}")
+    if report.m_opt is None:
         print("optimal degree = undefined (bias term vanishes; using rule of thumb)")
-    print(f"rule-of-thumb degree = {rule_m}")
-    for label, m in (("optimal", m_star), ("rule-of-thumb", rule_m)):
-        diff = MseExpansion.from_integrals(bias_quad, gain_quad, args.n, m).difference
+    else:
+        print(f"optimal degree = {_fmt(report.m_opt)} (floored: {report.degree})")
+    print(f"rule-of-thumb degree = {report.rule_degree}")
+    for label, m in (("optimal", report.degree), ("rule-of-thumb", report.rule_degree)):
+        diff = report.expansion(m).difference
         print(f"expansion MSE difference at {label} degree m={m}: {_fmt(diff)}")
     return EXIT_OK
 

@@ -300,11 +300,14 @@ def _stats(x: np.ndarray, true_rho: float) -> tuple[float, float | None, float]:
     """(|bias|, variance, mse) of one estimator's replicate values, reduced
     in index order with math.fsum."""
     reps = x.size
-    # Squares are d*d, correctly rounded everywhere; Python's d**2 calls the
-    # C library's pow, whose last bit differs between platforms.
+    # Squares are IEEE products (numpy's d*d rounds like Python's), the same
+    # everywhere; Python's d**2 calls the C library's pow, whose last bit
+    # differs between platforms.
     mean = math.fsum(x.tolist()) / reps
-    sq_dev = math.fsum([d * d for d in (x - mean).tolist()])
-    sq_err = math.fsum([d * d for d in (x - true_rho).tolist()])
+    dev = x - mean
+    err = x - true_rho
+    sq_dev = math.fsum((dev * dev).tolist())
+    sq_err = math.fsum((err * err).tolist())
     var = sq_dev / (reps - 1) if reps > 1 else None
     return abs(mean - true_rho), var, sq_err / reps
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,3 +243,26 @@ class TestAsymptoticReport:
             report = asymptotic_report(FgmModel(0.0), 0.5, 50)
         assert report.m_opt is None
         assert report.rule_degree == 13
+
+    def test_degree_and_expansions_read_one_report(self):
+        model, p, n = FgmModel(-1.0), 0.1, 50
+        report = asymptotic_report(model, p, n, limit_variance=0.112)
+        assert report.m_opt == optimal_degree(model, p, n)
+        assert report.degree == math.floor(report.m_opt) == 15
+        at_degree = mse_expansions(model, p, n, report.degree, limit_variance=0.112)
+        assert report.expansion(report.degree) == at_degree
+        assert report.mse_bernstein_expansion == at_degree.mse_bernstein
+        assert report.mse_empirical_expansion == at_degree.mse_empirical == 0.112 / n
+        with pytest.raises(ValueError, match="degree m=0"):
+            report.expansion(0)
+
+    def test_degenerate_degree_is_rule_of_thumb(self):
+        with pytest.warns(UserWarning):
+            report = asymptotic_report(FgmModel(0.0), 0.5, 100)
+        assert report.degree == report.rule_degree == 21
+
+    def test_optimal_degree_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateBiasError):
+                optimal_degree(FgmModel(0.0), 0.5, 100)

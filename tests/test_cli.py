@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ class TestEstimate:
         code = main(["estimate", "--input", path, "--p", "0.5"])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,1\n2,2 # caf\xe9\n3,3\n")
+        code = main(["estimate", "--input", str(path), "--p", "0.5"])
+        assert code == 2
+        assert "not UTF-8" in one_error_line(capsys)
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["estimate", "--input", str(tmp_path / "nope.csv"), "--p", "0.5"])
@@ -228,6 +237,46 @@ class TestSweep:
         assert code == 2
 
 
+ASYMPT_REGULAR = """\
+theta = 1
+p = 1
+n = 200
+bias integral (closed form) = -0.666667
+bias integral (quadrature) = -0.666667
+variance-gain integral = 0.841916
+optimal degree = 56.2893 (floored: 56)
+rule-of-thumb degree = 34
+expansion MSE difference at optimal degree m=56: -0.000420805
+expansion MSE difference at rule-of-thumb degree m=34: -0.000337469
+"""
+
+ASYMPT_DEGENERATE = """\
+theta = 0
+p = 0.5
+n = 100
+bias integral (closed form) = -0
+bias integral (quadrature) = 0
+variance-gain integral = 0.708982
+optimal degree = undefined (bias term vanishes; using rule of thumb)
+rule-of-thumb degree = 21
+expansion MSE difference at optimal degree m=21: -0.00154712
+expansion MSE difference at rule-of-thumb degree m=21: -0.00154712
+"""
+
+ASYMPT_NEGATIVE = """\
+theta = -1
+p = 0.1
+n = 50
+bias integral (closed form) = 0.141261
+bias integral (quadrature) = 0.141261
+variance-gain integral = 0.0656393
+optimal degree = 15.4623 (floored: 15)
+rule-of-thumb degree = 13
+expansion MSE difference at optimal degree m=15: -0.000250272
+expansion MSE difference at rule-of-thumb degree m=13: -0.000246026
+"""
+
+
 class TestAsympt:
     def test_regular_report(self, capsys):
         code = main(["asympt", "--theta", "1", "--p", "1.0", "--n", "200"])
@@ -254,6 +303,29 @@ class TestAsympt:
     def test_invalid_threshold(self, capsys):
         code = main(["asympt", "--theta", "0.5", "--p", "0", "--n", "100"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, text",
+        [
+            (["--theta=1", "--p", "1.0", "--n", "200"], ASYMPT_REGULAR),
+            (["--theta=0", "--p", "0.5", "--n", "100"], ASYMPT_DEGENERATE),
+            (["--theta=-1", "--p", "0.1", "--n", "50"], ASYMPT_NEGATIVE),
+        ],
+        ids=["regular", "degenerate", "negative"],
+    )
+    def test_full_report(self, capsys, flags, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the degenerate report warns of nothing
+            code = main(["asympt"] + flags)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == text
+        assert captured.err == ""
+
+    def test_sample_size_checked_before_threshold(self, capsys):
+        code = main(["asympt", "--theta=0.5", "--p", "0", "--n", "0"])
+        assert code == 2
+        assert one_error_line(capsys) == "error: sample size n=0 must be >= 1\n"
 
 
 class TestParser:
@@ -334,6 +406,31 @@ class TestFailFast:
         assert code == 2
         assert message in one_error_line(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "trailing-separator", "empty"])
+    def test_out_names_no_file(
+        self, comonotone_file, tmp_path, capsys, monkeypatch, command, kind
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(mc, "_pool_map", no_work)
+        monkeypatch.setattr(cli, "load_pairs", no_work)
+        out = {
+            "directory": str(tmp_path),
+            "trailing-separator": str(tmp_path / "x.csv") + "/",
+            "empty": "",
+        }[kind]
+        argv = {
+            "estimate": ["estimate", "--input", comonotone_file, "--p", "1.0"],
+            "simulate": SIMULATE,
+            "sweep": SWEEP,
+        }[command]
+        code = main(argv + ["--out", out])
+        assert code == 2
+        assert "must name a file" in one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_estimate_missing_out_dir(self, comonotone_file, tmp_path, capsys):
         code = main(["estimate", "--input", comonotone_file, "--p", "1.0",
