@@ -27,7 +27,6 @@ from .mc import (
     CellSummary,
     ExperimentConfig,
     degree_sweep,
-    estimate_limit_variance,
     run_cell,
     run_table,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "asymptotic_report",
     "bias_coeff",
     "degree_sweep",
-    "estimate_limit_variance",
     "jitter_margin",
     "mse_expansions",
     "normalized_tail_integral",

@@ -1,7 +1,8 @@
 """First-order asymptotics: pointwise bias and variance-gain coefficients for
 Bernstein smoothing, the normalized corner-square integral operator, and one
 `AsymptoticReport` per (model, p, n) setting holding the two corner
-integrals, the MSE-balancing smoothing degree and the MSE expansions.
+integrals, the limit variance, the MSE-balancing smoothing degree and the
+MSE expansions.
 
 Smoothing a degree-m Bernstein copula trades a deterministic bias of order
 1/m against a variance reduction of order 1/(n*sqrt(m)); balancing the two
@@ -14,6 +15,7 @@ computed.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -91,33 +93,30 @@ def normalized_tail_integral(f, p: float, tol: float = 1e-9) -> float:
 
 
 def rule_of_thumb_degree(n: int) -> int:
-    """Largest integer m with m^3 <= n^2, i.e. floor(n^(2/3)) computed exactly.
-
-    Pure float rounding can drop a unit (e.g. 200^(2/3) = 34.19... must give
-    34, never 33), so the candidate is corrected with integer comparisons.
-    """
+    """Largest integer m with m^3 <= n^2, i.e. floor(n^(2/3)), by bisection in
+    integer arithmetic: exact for every n, where a float estimate drops units."""
     if n < 1:
         raise ValueError(f"sample size n={n} must be >= 1")
-    m = max(1, int(round(n ** (2.0 / 3.0))))
-    while m**3 > n * n:
-        m -= 1
-    while (m + 1) ** 3 <= n * n:
-        m += 1
-    return max(1, m)
+    lo, hi = 1, 1 << -(-2 * n.bit_length() // 3)  # lo^3 <= n^2 < hi^3
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid * mid <= n * n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
 class MseExpansion:
-    """First-order MSE expansions at a given (n, m).
-
-    `difference` (smoothed minus empirical) is always available:
-    -V/(n*sqrt(m)) + (B/m)^2.  The absolute expansions additionally need the
-    limiting variance of the root-n estimator and are None without it.
+    """First-order MSE expansions at a given (n, m): `difference` (smoothed
+    minus empirical) is -V/(n*sqrt(m)) + (B/m)^2, `mse_empirical` is
+    sigma^2/n for the limit variance sigma^2, and `mse_bernstein` their sum.
     """
 
     difference: float
-    mse_bernstein: float | None
-    mse_empirical: float | None
+    mse_bernstein: float
+    mse_empirical: float
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,9 @@ class AsymptoticReport:
     """Expansion summary for one (model, p, n) setting.
 
     bias_term and gain_term are the normalized corner integrals B and V of
-    the bias and variance-gain coefficients; m_opt is None when the bias term
-    is degenerate, and `degree` then falls back to the rule of thumb.  The
-    absolute MSE expansions are filled only when a Monte Carlo estimate of
-    the limiting variance is supplied.
+    the bias and variance-gain coefficients; limit_variance is the model's
+    sigma^2 of the root-n empirical estimator; m_opt is None when the bias
+    term is degenerate, and `degree` then falls back to the rule of thumb.
     """
 
     p: float
@@ -137,7 +135,7 @@ class AsymptoticReport:
     gain_term: float
     m_opt: float | None
     rule_degree: int
-    limit_variance: float | None
+    limit_variance: float
 
     @property
     def degree(self) -> int:
@@ -150,33 +148,36 @@ class AsymptoticReport:
         if m < 1:
             raise ValueError(f"degree m={m} must be >= 1")
         difference = -self.gain_term / (self.n * math.sqrt(m)) + (self.bias_term / m) ** 2
-        if self.limit_variance is None:
-            return MseExpansion(difference, None, None)
         base = self.limit_variance / self.n
         return MseExpansion(difference, base + difference, base)
 
     @property
-    def mse_bernstein_expansion(self) -> float | None:
+    def mse_bernstein_expansion(self) -> float:
         return self.expansion(self.degree).mse_bernstein
 
     @property
-    def mse_empirical_expansion(self) -> float | None:
+    def mse_empirical_expansion(self) -> float:
         return self.expansion(self.degree).mse_empirical
 
 
-def _asymptotic_report(
-    model, p: float, n: int, limit_variance: float | None = None
-) -> AsymptoticReport:
-    """The one computation of the corner integrals (B, V) and of the
-    MSE-balancing degree m_opt = {4 B^2 / V * n}^(2/3), None when B vanishes.
+def _asymptotic_report(model, p: float, n: int) -> AsymptoticReport:
+    """The one computation of the corner integrals (B, V), the model's limit
+    variance and the MSE-balancing degree m_opt = {4 B^2 / V * n}^(2/3),
+    None when B vanishes.
 
-    Checks n before p, so the command line reports a bad n first.
+    Checks n before p, so the command line reports a bad n first; an n that
+    m_opt cannot take as a float, or that makes it overflow, is a bad n.
     """
     rule_degree = rule_of_thumb_degree(n)
+    if n > sys.float_info.max:
+        raise ValueError(f"sample size n above {sys.float_info.max:.6g} is beyond the float range")
     bias_term = normalized_tail_integral(lambda u, v: bias_coeff(model, u, v), p)
     gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p)
+    limit_variance = model.limit_variance(p)
     degenerate = abs(bias_term) < 1e-12
     m_opt = None if degenerate else (4.0 * bias_term**2 / gain_term * n) ** (2.0 / 3.0)
+    if m_opt == math.inf:
+        raise ValueError(f"sample size n={n:.6g} puts the balancing degree beyond the float range")
     return AsymptoticReport(p, n, bias_term, gain_term, m_opt, rule_degree, limit_variance)
 
 
@@ -196,25 +197,19 @@ def optimal_degree(model, p: float, n: int) -> float:
     return m_opt
 
 
-def mse_expansions(
-    model, p: float, n: int, m: int, limit_variance: float | None = None
-) -> MseExpansion:
+def mse_expansions(model, p: float, n: int, m: int) -> MseExpansion:
     """First-order MSE of both estimators at sample size n and degree m; see
-    `AsymptoticReport.expansion`.  With limit_variance omitted (it is only
-    available as a Monte Carlo estimate), just the difference is filled in.
-    """
-    return _asymptotic_report(model, p, n, limit_variance).expansion(m)
+    `AsymptoticReport.expansion`."""
+    return _asymptotic_report(model, p, n).expansion(m)
 
 
-def asymptotic_report(
-    model, p: float, n: int, limit_variance: float | None = None
-) -> AsymptoticReport:
+def asymptotic_report(model, p: float, n: int) -> AsymptoticReport:
     """Assemble the expansion quantities for one setting.
 
     Degenerate bias (independence) produces m_opt = None with a warning; the
     rule-of-thumb degree is always reported as the practical fallback.
     """
-    report = _asymptotic_report(model, p, n, limit_variance)
+    report = _asymptotic_report(model, p, n)
     if report.m_opt is None:
         warnings.warn(
             "leading bias term vanishes; using the n^(2/3) rule of thumb",

@@ -1,5 +1,6 @@
 """The FGM copula family: closed-form CDF, partial derivatives, an exact
-sampler, and the analytic lower-tail rho used as simulation ground truth.
+sampler, the analytic lower-tail rho used as simulation ground truth, and
+the limit variance of the empirical estimator.
 
 The sampler's inversion formula lives in one place, `from_uniforms`, which
 works on arrays of any shape: `sample` calls it on one row of uniforms, and
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import normalizer
+from .estimators import _check_p, normalizer
 
 __all__ = ["FgmModel"]
 
@@ -99,3 +100,15 @@ class FgmModel:
         """
         corner = p * p / 2.0 - p * p * p / 3.0
         return self.theta * (corner * corner) / normalizer(p)
+
+    def limit_variance(self, p: float) -> float:
+        """Limit variance of sqrt(n) * (empirical tail rho - tail rho):
+        E[IF^2] / normalizer(p)^2 for the influence function IF of the corner
+        integral under the empirical copula process limit (Segers 2012).  For
+        this family it is rational in (theta, p), and 1 at independence."""
+        _check_p(p)
+        th, q, r, s = self.theta, 1.0 - p, 2.0 * p - 3.0, 3.0 * p - 4.0
+        q4 = q * q * q * q
+        quad = p * r * r * (((160.0 * p - 396.0) * p + 345.0) * p - 120.0)
+        cubic = 90.0 * p * p * q4 * r * r
+        return 1.0 + th * (720.0 * q4 + th * (quad + th * cubic)) / (45.0 * s * s)

@@ -23,10 +23,10 @@ is the one `sample`, `pseudo_observations` and `rho_hat_*` give on its
 stream; the chunk only bounds memory to O(CHUNK) floats per array plus one
 degree's tail weights.
 
-Every entry point (a grid, one cell, a degree sweep, the limit variance)
-runs its cells as replicate blocks on one path.  A job whose estimated work
-(reps * n * (RANK_COST + score tables), summed over its cells; no clock) is
-below POOL_MIN_WORK runs in this process, one block per cell, since a
+Every entry point (a grid, one cell, a degree sweep) runs its cells as
+replicate blocks on one path.  A job whose estimated work (reps * n *
+(RANK_COST + score tables), summed over its cells; no clock) is below
+POOL_MIN_WORK runs in this process, one block per cell, since a
 process pool costs more to start than such a job takes.  A larger job cuts
 its cells into about four blocks per process and sends all of them through
 one process pool, so a single cell uses every CPU too.  Either way the
@@ -61,7 +61,6 @@ __all__ = [
     "run_cell",
     "run_table",
     "degree_sweep",
-    "estimate_limit_variance",
 ]
 
 DEFAULT_REPS = 10_000
@@ -94,6 +93,10 @@ STREAM = 64
 # about 100 ms of work, for grids, single cells and sweeps).
 RANK_COST = 20
 POOL_MIN_WORK = 15 * 10**6
+
+# Most result values (reps x score tables, summed over the cells) a job may
+# ask for: 800 MB of float64.
+MAX_SLOTS = 10**8
 
 THREADS_ENV = "TAILRHO_THREADS"
 
@@ -265,8 +268,9 @@ def _simulate(
     """(true rho, emp, bern) of every cell, in cell order.
 
     A cell is (theta, n, p, m_values, cell_index); bern has one column per
-    degree in m_values.  Every cell is checked before any work.  A job that
-    runs in this process (see `_processes`) makes one block per cell, so
+    degree in m_values.  Every cell, and the job's MAX_SLOTS bound, is
+    checked before any work.  A job that runs in this process (see
+    `_processes`) makes one block per cell, so
     each score table is built once per kernel chunk.  A pooled job cuts each
     cell into replicate blocks, about four per process for the whole job,
     rounded up to a multiple of STREAM and never spanning two cells.  Each
@@ -274,6 +278,9 @@ def _simulate(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    slots = reps * sum(1 + len(m_values) for _, _, _, m_values, _ in cells)
+    if slots > MAX_SLOTS:
+        raise ValueError(f"{slots} result slots (reps x score tables) exceed {MAX_SLOTS}")
     truths = [_true_rho(theta, n, p) for theta, n, p, _, _ in cells]
     processes = _processes(cells, reps, workers)
     if processes == 1:
@@ -319,13 +326,6 @@ def _summary(theta: float, n: int, p: float, m: int, emp: tuple, bern: tuple) ->
     return CellSummary(theta, n, p, m, bias_e, bias_b, var_e, var_b, mse_e, mse_b, reduction)
 
 
-def _summarize(
-    theta: float, n: int, p: float, m: int, emp: np.ndarray, bern: np.ndarray, true_rho: float
-) -> CellSummary:
-    """Reduce one cell's replicate values."""
-    return _summary(theta, n, p, m, _stats(emp, true_rho), _stats(bern, true_rho))
-
-
 def run_cell(
     theta: float,
     n: int,
@@ -337,10 +337,9 @@ def run_cell(
     cell_index: int = 0,
     workers: int | None = None,
 ) -> CellSummary:
-    """Simulate one (theta, n, p, m) cell and summarize both estimators."""
-    workers = resolve_workers(workers)
-    [(true_rho, emp, bern)] = _simulate([(theta, n, p, [m], cell_index)], reps, seed, workers)
-    return _summarize(theta, n, p, m, emp, bern[:, 0], true_rho)
+    """Simulate one (theta, n, p, m) cell and summarize both estimators: the
+    one-degree `degree_sweep`."""
+    return degree_sweep(theta, n, p, m, m, reps, seed, cell_index=cell_index, workers=workers)[0]
 
 
 def run_table(config: ExperimentConfig, *, workers: int | None = None) -> list[CellSummary]:
@@ -357,7 +356,7 @@ def run_table(config: ExperimentConfig, *, workers: int | None = None) -> list[C
     ]
     values = _simulate(cells, config.reps, config.seed, workers)
     return [
-        _summarize(theta, n, p, m, emp, bern[:, 0], true_rho)
+        _summary(theta, n, p, m, _stats(emp, true_rho), _stats(bern[:, 0], true_rho))
         for (theta, n, p, [m], _), (true_rho, emp, bern) in zip(cells, values)
     ]
 
@@ -391,24 +390,3 @@ def degree_sweep(
         for j, m in enumerate(m_values)
     ]
 
-
-def estimate_limit_variance(
-    theta: float,
-    p: float,
-    n: int = 4000,
-    reps: int = DEFAULT_REPS,
-    seed: int = DEFAULT_SEED,
-    *,
-    workers: int | None = None,
-) -> float:
-    """Monte Carlo estimate of the limiting variance of the root-n estimator.
-
-    Computes n times the sample variance of the empirical-copula estimator
-    across replicates; by the central limit theorem this stabilizes (in n) at
-    the limiting variance, which has no closed form available here.
-    """
-    if reps < 2:
-        raise ValueError("need at least two replicates for a variance")
-    workers = resolve_workers(workers)
-    [(true_rho, emp, _)] = _simulate([(theta, n, p, [], 0)], reps, seed, workers)
-    return n * _stats(emp, true_rho)[1]

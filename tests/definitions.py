@@ -4,8 +4,10 @@ The package computes both estimators as linear rank statistics and never
 builds the objects they are defined through.  Those objects live here: the
 empirical copula, its lattice extraction (the copula grid), the Bernstein
 smoother of that grid, the population tail-rho functional, the pointwise
-limiting variance of the empirical copula, and the exact permutation moments
-of a linear rank statistic under independence.
+limiting variance of the empirical copula, the exact permutation moments
+of a linear rank statistic under independence, and the limit variance of the
+empirical tail rho, both by quadrature of its influence function and by
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 from tailrho.copula import PseudoSample
 from tailrho.estimators import normalizer
+from tailrho.fgm import FgmModel
+from tailrho.mc import DEFAULT_REPS, DEFAULT_SEED, _simulate, _stats, resolve_workers
 from tailrho.quadrature import integrate_square
 from tailrho.special import _binom_pmf
 
@@ -133,3 +137,53 @@ def null_moments(scores, n: int) -> tuple[float, float]:
     mean = math.fsum(a) ** 2 / n**2
     variance = math.fsum(centred * centred) ** 2 / ((n - 1) * n**2)
     return mean, variance
+
+
+def limit_variance_quadrature(theta: float, p: float, order: int = 16) -> float:
+    """Limit variance of sqrt(n) * (empirical tail rho - tail rho) under
+    FGM(theta), as Var IF(U, V) / normalizer(p)^2.
+
+    IF is the influence function of the corner integral under the empirical
+    copula process limit B(u,v) - C_u B(u,1) - C_v B(1,v) (Segers 2012), up
+    to a constant: with S(a) = int_0^p C(min(a, p), t) dt, which by the
+    symmetry of C is also int_0^p C(t, min(a, p)) dt,
+        IF(a, b) = (p - a)+ (p - b)+ - (S(p) - S(a)) - (S(p) - S(b)).
+    Every piece is a polynomial on each side of p, so tensor Gauss-Legendre
+    split at p, weighted by the FGM density 1 + theta (1-2a)(1-2b), is exact.
+    """
+    model = FgmModel(theta)
+    x, w = np.polynomial.legendre.leggauss(order)
+    t, wt = p * (x + 1.0) / 2.0, p * w / 2.0
+    a = np.concatenate((t, p + (1.0 - p) * (x + 1.0) / 2.0))
+    wa = np.concatenate((wt, (1.0 - p) * w / 2.0))
+
+    def section(s):
+        return model.cdf(np.minimum(s, p)[..., None], t) @ wt
+
+    u, v = np.meshgrid(a, a, indexing="ij")
+    influence = np.maximum(p - u, 0.0) * np.maximum(p - v, 0.0) + section(u) + section(v)
+    weight = np.outer(wa, wa) * (1.0 + theta * (1.0 - 2.0 * u) * (1.0 - 2.0 * v))
+    dev = influence - np.sum(weight * influence)
+    return float(np.sum(weight * dev * dev)) / normalizer(p) ** 2
+
+
+def estimate_limit_variance(
+    theta: float,
+    p: float,
+    n: int = 4000,
+    reps: int = DEFAULT_REPS,
+    seed: int = DEFAULT_SEED,
+    *,
+    workers: int | None = None,
+) -> float:
+    """Monte Carlo estimate of the limiting variance of the root-n estimator.
+
+    Computes n times the sample variance of the empirical-copula estimator
+    across replicates; by the central limit theorem this stabilizes (in n) at
+    the limiting variance, `FgmModel.limit_variance` in closed form.
+    """
+    if reps < 2:
+        raise ValueError("need at least two replicates for a variance")
+    workers = resolve_workers(workers)
+    [(true_rho, emp, _)] = _simulate([(theta, n, p, [], 0)], reps, seed, workers)
+    return n * _stats(emp, true_rho)[1]

@@ -158,9 +158,10 @@ class TestRuleOfThumbDegree:
         assert rule_of_thumb_degree(200) == 34
 
     def test_exact_integer_floor(self):
-        for n in (1, 2, 7, 8, 27, 64, 125, 1000, 2000, 46_340):
+        # every n below 30000, and n far beyond float precision
+        for n in (*range(1, 30_000), 46_340, 10**24 + 7, 10**40, 3**300, 10**400):
             m = rule_of_thumb_degree(n)
-            assert m**3 <= n * n < (m + 1) ** 3 or (m == 1 and n == 1)
+            assert m**3 <= n * n < (m + 1) ** 3
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -206,7 +207,6 @@ class TestMseExpansions:
         expect = -gain_term / (n * math.sqrt(m)) + (bias_term / m) ** 2
         got = mse_expansions(model, p, n, m)
         assert got.difference == pytest.approx(expect, rel=1e-12)
-        assert got.mse_bernstein is None and got.mse_empirical is None
 
     def test_difference_vanishes_for_large_degree(self):
         model = FgmModel(1.0)
@@ -224,10 +224,13 @@ class TestMseExpansions:
                 assert mse_expansions(model, p, 50, m).difference < 0.0
 
     def test_absolute_expansions_with_limit_variance(self):
-        model = FgmModel(0.5)
-        exp = mse_expansions(model, 0.5, 100, 20, limit_variance=1.7)
-        assert exp.mse_empirical == pytest.approx(0.017, rel=1e-12)
-        assert exp.mse_bernstein == pytest.approx(0.017 + exp.difference, rel=1e-12)
+        # sigma^2/n and sigma^2/n + difference, sigma^2 the model's closed form
+        for theta, p in ((0.5, 0.5), (-1.0, 0.1), (0.0, 1.0)):
+            model = FgmModel(theta)
+            exp = mse_expansions(model, p, 100, 20)
+            base = model.limit_variance(p) / 100
+            assert exp.mse_empirical == base
+            assert exp.mse_bernstein == base + exp.difference
 
 
 class TestAsymptoticReport:
@@ -236,7 +239,8 @@ class TestAsymptoticReport:
         assert report.bias_term == pytest.approx(-2.0 / 3.0, abs=1e-9)
         assert report.rule_degree == 34
         assert report.m_opt is not None and report.m_opt > 0
-        assert report.mse_bernstein_expansion is None
+        assert report.limit_variance == FgmModel(1.0).limit_variance(1.0) == 34 / 45
+        assert report.mse_empirical_expansion == report.limit_variance / 200
 
     def test_degenerate_setting_warns(self):
         with pytest.warns(UserWarning):
@@ -246,13 +250,15 @@ class TestAsymptoticReport:
 
     def test_degree_and_expansions_read_one_report(self):
         model, p, n = FgmModel(-1.0), 0.1, 50
-        report = asymptotic_report(model, p, n, limit_variance=0.112)
+        report = asymptotic_report(model, p, n)
         assert report.m_opt == optimal_degree(model, p, n)
         assert report.degree == math.floor(report.m_opt) == 15
-        at_degree = mse_expansions(model, p, n, report.degree, limit_variance=0.112)
+        at_degree = mse_expansions(model, p, n, report.degree)
         assert report.expansion(report.degree) == at_degree
+        sigma2 = model.limit_variance(p)
         assert report.mse_bernstein_expansion == at_degree.mse_bernstein
-        assert report.mse_empirical_expansion == at_degree.mse_empirical == 0.112 / n
+        assert at_degree.mse_bernstein == sigma2 / n + at_degree.difference
+        assert report.mse_empirical_expansion == at_degree.mse_empirical == sigma2 / n
         with pytest.raises(ValueError, match="degree m=0"):
             report.expansion(0)
 

@@ -327,6 +327,26 @@ class TestAsympt:
         assert code == 2
         assert one_error_line(capsys) == "error: sample size n=0 must be >= 1\n"
 
+    def test_huge_sample_size_exact_rule_of_thumb(self, capsys):
+        # floor((10^40)^(2/3)) = floor(10^26.67): a float start is off by ~1e10
+        code = main(["asympt", "--theta=0.5", "--p", "0.5", "--n", str(10**40)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "rule-of-thumb degree = 464158883361277889241007635\n" in out
+
+    @pytest.mark.parametrize(
+        "theta, p, n, message",
+        [
+            ("0.5", "0.5", 10**400, "beyond the float range"),
+            ("0.5", "0", 10**400, "beyond the float range"),  # n before p
+            ("1", "1", 10**308, "balancing degree beyond the float range"),
+        ],
+    )
+    def test_sample_size_beyond_float_range(self, capsys, theta, p, n, message):
+        code = main(["asympt", f"--theta={theta}", "--p", p, "--n", str(n)])
+        assert code == 2
+        assert message in one_error_line(capsys)
+
 
 class TestParser:
     def test_usage_error_exit_code(self, capsys):
@@ -405,6 +425,22 @@ class TestFailFast:
         code = main(command + ["--out", str(out)])
         assert code == 2
         assert message in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [SIMULATE, SWEEP])
+    def test_result_slots_bounded_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replicates were scheduled")
+
+        monkeypatch.setattr(mc, "_pool_map", no_pool)
+        command = list(command)
+        command[command.index("--reps") + 1] = str(10**13)
+        out = tmp_path / "x.csv"
+        code = main(command + ["--out", str(out)])
+        assert code == 2
+        assert "result slots" in one_error_line(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["estimate", "simulate", "sweep"])

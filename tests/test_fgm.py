@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailrho import FgmModel
-from definitions import rho_tail_population
+from definitions import limit_variance_quadrature, rho_tail_population
 
 
 def ks_uniform_distance(sample):
@@ -171,3 +171,27 @@ class TestAnalyticTailRho:
             assert (value > 0) == (theta > 0)
         else:
             assert abs(value) <= 1e-12
+
+
+class TestLimitVariance:
+    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_matches_influence_function_quadrature(self, theta, p):
+        got = FgmModel(theta).limit_variance(p)
+        assert got == pytest.approx(limit_variance_quadrature(theta, p), rel=1e-12)
+
+    @given(st.floats(1e-6, 1.0, exclude_min=True))
+    @settings(max_examples=50, deadline=None)
+    def test_independence_is_one(self, p):
+        assert FgmModel(0.0).limit_variance(p) == 1.0
+
+    def test_spearman_rho_at_full_range(self):
+        # the influence-function variance of Spearman's rho under FGM
+        assert FgmModel(1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15)
+        assert FgmModel(-1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15)
+        assert FgmModel(0.5).limit_variance(1.0) == pytest.approx(169 / 180, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-6, 1.5, float("nan")])
+    def test_rejects_bad_threshold(self, p):
+        with pytest.raises(ValueError, match="threshold"):
+            FgmModel(0.5).limit_variance(p)

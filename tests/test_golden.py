@@ -13,7 +13,8 @@ import hashlib
 
 import pytest
 
-from tailrho import ExperimentConfig, degree_sweep, estimate_limit_variance, run_table
+from tailrho import ExperimentConfig, degree_sweep, run_table
+from definitions import estimate_limit_variance
 
 
 def digest(rows) -> str:

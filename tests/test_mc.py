@@ -7,7 +7,6 @@ from tailrho import (
     CellSummary,
     ExperimentConfig,
     degree_sweep,
-    estimate_limit_variance,
     pseudo_observations,
     rho_hat_bernstein,
     rho_hat_empirical,
@@ -20,6 +19,7 @@ from tailrho.estimators import P_MIN
 from tailrho.fgm import FgmModel
 from tailrho.mc import resolve_workers
 from tailrho.special import MAX_DEGREE
+from definitions import estimate_limit_variance
 
 
 class TestConfig:
@@ -201,6 +201,14 @@ class TestLimitVariance:
         with pytest.raises(ValueError):
             estimate_limit_variance(0.0, 1.0, n=100, reps=1, seed=1)
 
+    @pytest.mark.parametrize("theta, p", [(0.5, 0.5), (-1.0, 0.1), (1.0, 1.0)])
+    def test_matches_closed_form(self, theta, p):
+        """Within 4 normal-theory SEs of a sample variance, 2 sigma^4/(reps-1)."""
+        reps = 4000
+        sigma2 = FgmModel(theta).limit_variance(p)
+        estimate = estimate_limit_variance(theta, p, n=4000, reps=reps, seed=31, workers=2)
+        assert abs(estimate - sigma2) <= 4.0 * sigma2 * math.sqrt(2.0 / (reps - 1))
+
 
 class TestDegreeCap:
     def test_fixed_degree_capped(self):
@@ -211,6 +219,31 @@ class TestDegreeCap:
     def test_sweep_degree_capped(self):
         with pytest.raises(ValueError, match="m_max <= 100000"):
             degree_sweep(0.5, 20, 0.5, 1, 10**8, reps=5, seed=1, workers=1)
+
+    @pytest.mark.parametrize("m", [0, MAX_DEGREE + 1])
+    def test_run_cell_degree_checked_before_work(self, monkeypatch, m):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replicates were scheduled")
+
+        monkeypatch.setattr(mc, "_pool_map", no_pool)
+        with pytest.raises(ValueError, match="m_max <= 100000"):
+            run_cell(0.5, 50, 0.1, m, reps=10, seed=1, workers=1)
+
+
+class TestSlotBound:
+    def test_bound_counts_every_score_table(self, monkeypatch):
+        # 1 + 60 tables per replicate: one replicate more than fits fails
+        # before any work, and the most that fit pass the check (and stop
+        # before any allocation)
+        def past_the_check(*args):
+            raise AssertionError("past the check")
+
+        monkeypatch.setattr(mc, "_processes", past_the_check)
+        reps = mc.MAX_SLOTS // 61
+        with pytest.raises(ValueError, match=f"{61 * (reps + 1)} result slots"):
+            degree_sweep(0.0, 10, 0.5, 1, 60, reps=reps + 1, seed=1, workers=2)
+        with pytest.raises(AssertionError, match="past the check"):
+            degree_sweep(0.0, 10, 0.5, 1, 60, reps=reps, seed=1, workers=2)
 
 
 class TestReplicateCount:
@@ -429,7 +462,7 @@ class TestSummaryReduction:
     def test_bit_identical_to_loop(self, seed, reps):
         rng = np.random.default_rng(seed)
         emp, bern = rng.uniform(-1, 1, reps), rng.uniform(-1, 1, reps)
-        cell = mc._summarize(0.5, 20, 0.5, 4, emp, bern, 0.1)
+        cell = mc._summary(0.5, 20, 0.5, 4, mc._stats(emp, 0.1), mc._stats(bern, 0.1))
         bias_e, var_e, mse_e = loop_stats(emp, 0.1)
         bias_b, var_b, mse_b = loop_stats(bern, 0.1)
         assert (cell.abs_bias_emp, cell.var_emp, cell.mse_emp) == (bias_e, var_e, mse_e)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from tailrho import ExperimentConfig, mc, normalizer, rule_of_thumb_degree, tail_weights
+from tailrho import ExperimentConfig, FgmModel, mc, normalizer, rule_of_thumb_degree, tail_weights
 from definitions import null_moments
 
 P = 0.5
@@ -54,6 +54,16 @@ class TestEnumeration:
         assert got_variance == pytest.approx(variance, rel=1e-12, abs=1e-15)
 
 
+
+@pytest.mark.parametrize("n", [4000, 20000])
+@pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+def test_exact_null_variance_tends_to_limit_variance(n, p):
+    """n Var(empirical tail rho) under independence is the closed-form limit
+    variance up to an O(1/n) term, about -3/(p n) on this grid."""
+    _, var_integral = null_moments(empirical_scores(n, p), n)
+    scaled = n * var_integral / normalizer(p) ** 2
+    assert abs(scaled - FgmModel(0.0).limit_variance(p)) <= 4.0 / (p * n)
+
 # The theta = 0 cells of the reference grid, with their grid positions, so
 # their replicate streams are the reference table's first REPS replicates.
 REFERENCE = ExperimentConfig(
@@ -70,7 +80,9 @@ NULL_CELLS = [
 def null_runs():
     values = mc._simulate(NULL_CELLS, REFERENCE.reps, REFERENCE.seed, mc.resolve_workers())
     return {
-        (n, p): (m, emp, bern[:, 0], mc._summarize(0.0, n, p, m, emp, bern[:, 0], truth))
+        (n, p): (m, emp, bern[:, 0], mc._summary(
+            0.0, n, p, m, mc._stats(emp, truth), mc._stats(bern[:, 0], truth)
+        ))
         for (_, n, p, [m], _), (truth, emp, bern) in zip(NULL_CELLS, values)
     }
 

@@ -32,7 +32,6 @@ PUBLIC = {
     "asymptotic_report",
     "bias_coeff",
     "degree_sweep",
-    "estimate_limit_variance",
     "jitter_margin",
     "mse_expansions",
     "normalized_tail_integral",
