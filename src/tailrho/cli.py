@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -55,34 +56,80 @@ def _fmt(value: float | None) -> str:
 
 def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column numeric UTF-8 table: comma or whitespace separated,
-    '#' starts a comment, blank lines ignored, at least two rows required."""
-    xs: list[float] = []
-    ys: list[float] = []
+    '#' starts a comment, blank lines ignored, at least two rows required.
+
+    numpy's C reader parses the file first (see `_read_table`).  Whatever it
+    refuses goes to `_parse_lines`, the line-by-line parser that defines the
+    format and writes every error message, so a malformed file is parsed
+    twice before its error.  A file that cannot be read twice, such as a
+    pipe, goes to the line parser alone.
+    """
     try:
         handle = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataFileError(f"cannot open {path}: {exc}") from exc
     with handle:
-        try:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.replace(",", " ").split()
-                if len(parts) != 2:
-                    raise DataFileError(
-                        f"line {lineno}: expected two columns, got {len(parts)}"
-                    )
-                try:
-                    x, y = float(parts[0]), float(parts[1])
-                except ValueError as exc:
-                    raise DataFileError(f"line {lineno}: {exc}") from exc
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise DataFileError(f"line {lineno}: non-finite value")
-                xs.append(x)
-                ys.append(y)
-        except UnicodeDecodeError as exc:
-            raise DataFileError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+        if handle.seekable():
+            xy = _read_table(handle)
+            if xy is not None:
+                return xy[:, 0].copy(), xy[:, 1].copy()
+            handle.seek(0)
+        return _parse_lines(handle, path)
+
+
+def _read_table(handle) -> np.ndarray | None:
+    """The (rows, 2) table numpy's C reader reads from `handle`, or None if
+    it refuses the file or reads fewer than two rows, other than two
+    columns, or a value that is not finite.
+
+    The delimiter is a comma if the first data line has one, else any
+    whitespace.  Where the reader accepts a file, `_parse_lines` reads the
+    same floats: both round correctly, and the reader refuses what the line
+    parser reads its own way (`1_0`, non-ASCII digits, empty fields,
+    whitespace-only lines between comma rows).  numpy gets the open handle,
+    not the path: given a path it would also try compressed siblings,
+    decompress by suffix and fetch URLs.
+    """
+    try:
+        first = next(filter(None, (raw.split("#", 1)[0].strip() for raw in handle)), "")
+        handle.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file only warns
+            xy = np.loadtxt(
+                handle, delimiter="," if "," in first else None, comments="#", ndmin=2
+            )
+    except (ValueError, Warning):  # the line parser finds and words the fault
+        return None
+    if xy.shape[0] < 2 or xy.shape[1] != 2 or not np.isfinite(xy).all():
+        return None
+    return xy
+
+
+def _parse_lines(handle, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The format's definition, one line at a time, and its error messages:
+    the first bad line, by number, or the first bytes that are not UTF-8."""
+    xs: list[float] = []
+    ys: list[float] = []
+    try:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 2:
+                raise DataFileError(
+                    f"line {lineno}: expected two columns, got {len(parts)}"
+                )
+            try:
+                x, y = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise DataFileError(f"line {lineno}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DataFileError(f"line {lineno}: non-finite value")
+            xs.append(x)
+            ys.append(y)
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     if len(xs) < 2:
         raise DataFileError(f"need at least 2 data rows, found {len(xs)}")
     return np.asarray(xs), np.asarray(ys)

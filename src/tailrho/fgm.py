@@ -105,10 +105,24 @@ class FgmModel:
         """Limit variance of sqrt(n) * (empirical tail rho - tail rho):
         E[IF^2] / normalizer(p)^2 for the influence function IF of the corner
         integral under the empirical copula process limit (Segers 2012).  For
-        this family it is rational in (theta, p), and 1 at independence."""
+        this family it is rational in (theta, p), and 1 at independence.
+
+        Below theta = -0.5 it is a cubic in e = 1 + theta, which is exact
+        there (Sterbenz), so no cancellation is left as the variance tends to
+        0 at theta = -1 and small p; elsewhere it is 1 + theta * (...), so
+        independence gives exactly 1."""
         _check_p(p)
         th, q, r, s = self.theta, 1.0 - p, 2.0 * p - 3.0, 3.0 * p - 4.0
         q4 = q * q * q * q
-        quad = p * r * r * (((160.0 * p - 396.0) * p + 345.0) * p - 120.0)
         cubic = 90.0 * p * p * q4 * r * r
+        if th < -0.5:
+            e = 1.0 + th
+            c0 = -2.0 * p * (((((((180.0 * p - 1260.0) * p + 3325.0) * p - 3828.0) * p
+                                + 1344.0) * p + 492.0) * p + 90.0) * p - 360.0)
+            c1 = 2.0 * ((((((((540.0 * p - 3780.0) * p + 10295.0) * p - 13236.0) * p
+                            + 7098.0) * p + 264.0) * p - 1170.0) * p - 360.0) * p + 360.0)
+            c2 = -p * r * r * (((((270.0 * p - 1080.0) * p + 1460.0) * p - 684.0) * p
+                                - 75.0) * p + 120.0)
+            return (c0 + e * (c1 + e * (c2 + e * cubic))) / (45.0 * s * s)
+        quad = p * r * r * (((160.0 * p - 396.0) * p + 345.0) * p - 120.0)
         return 1.0 + th * (720.0 * q4 + th * (quad + th * cubic)) / (45.0 * s * s)

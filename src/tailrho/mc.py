@@ -25,9 +25,10 @@ degree's tail weights.
 
 Every entry point (a grid, one cell, a degree sweep) runs its cells as
 replicate blocks on one path.  A job whose estimated work (reps * n *
-(RANK_COST + score tables), summed over its cells; no clock) is below
-POOL_MIN_WORK runs in this process, one block per cell, since a
-process pool costs more to start than such a job takes.  A larger job cuts
+(RANK_COST + score tables), summed over its cells; no clock), less the
+score-table builds a pool repeats in every block, is below POOL_MIN_WORK
+runs in this process, one block per cell, since a process pool costs more
+to start than it would save.  A larger job cuts
 its cells into about four blocks per process and sends all of them through
 one process pool, so a single cell uses every CPU too.  Either way the
 summaries are reduced in this process, and the numbers do not depend on
@@ -81,17 +82,23 @@ CHUNK = 2**16
 # block must start at a multiple of it.
 STREAM = 64
 
-# The pool rule (see `_processes`).  A job's work is estimated, with no
-# clock, as the sum over its cells of reps * n * (RANK_COST + score tables):
-# one unit is one sample value's share of a rank integral over one score
-# table, and RANK_COST prices the draws, the FGM inversion and the ranks in
-# those units.  A job below POOL_MIN_WORK units runs in this process, since
-# starting a process pool would cost more than it saves.  Both are measured
-# on a 2-CPU x86-64 machine: RANK_COST from the kernel's time per replicate
-# with 0 and 60 score tables (15-25 at n = 50, 200 and 1000), and
-# POOL_MIN_WORK where two processes started to beat one (1.0-1.8e7 units,
-# about 100 ms of work, for grids, single cells and sweeps).
+# The pool rule (see `_processes`).  A job's kernel work is estimated, with
+# no clock, as the sum over its cells of reps * n * (RANK_COST + score
+# tables): one unit is one sample value's share of a rank integral over one
+# score table, and RANK_COST prices the draws, the FGM inversion and the
+# ranks in those units.  Every pooled block also rebuilds its cell's score
+# tables, TABLE_COST units per Bernstein weight (m + 1 for degree m).  A job
+# whose kernel work, less the table builds of its pooled blocks, is below
+# POOL_MIN_WORK units runs in this process, since a pool would cost more
+# than it saves.  All three are measured on a 2-CPU x86-64 machine:
+# RANK_COST from the kernel's time per replicate with 0 and 60 score tables
+# (15-25 at n = 50, 200 and 1000); TABLE_COST from the time of building
+# degrees 1..1000 (100 units per weight; 75-325 for other degree ranges,
+# where the per-table call overhead weighs more); and POOL_MIN_WORK where two
+# processes started to beat one (1.0-1.8e7 units, about 100 ms of work, for
+# grids, single cells and sweeps).
 RANK_COST = 20
+TABLE_COST = 100
 POOL_MIN_WORK = 15 * 10**6
 
 # Most result values (reps x score tables, summed over the cells) a job may
@@ -201,12 +208,25 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 
 
 def _processes(cells: list[tuple], reps: int, workers: int) -> int:
-    """Processes a job runs on: one if its estimated work (see RANK_COST) is
-    below POOL_MIN_WORK, else `workers` capped at the usable CPUs."""
-    work = reps * sum(n * (RANK_COST + 1 + len(m)) for _, n, _, m, _ in cells)
-    if work < POOL_MIN_WORK:
+    """Processes a job runs on: `workers` capped at the usable CPUs, or one if
+    the job's kernel work less the table builds of its pooled blocks (see
+    TABLE_COST) is below POOL_MIN_WORK."""
+    processes = min(workers, _usable_cpus())
+    if processes <= 1:
         return 1
-    return min(workers, _usable_cpus())
+    blocks = -(-reps // _pooled_block(reps, len(cells), processes))  # per cell
+    work = reps * sum(n * (RANK_COST + 1 + len(m)) for _, n, _, m, _ in cells)
+    tables = blocks * sum(sum(m) + len(m) for _, _, _, m, _ in cells)
+    if work - TABLE_COST * tables < POOL_MIN_WORK:
+        return 1
+    return processes
+
+
+def _pooled_block(reps: int, cells: int, processes: int) -> int:
+    """Replicates per block of a pooled job: about four blocks per process
+    for the whole job, rounded up to a multiple of STREAM, at most a cell."""
+    block = -(-reps * cells // (4 * processes))
+    return min(reps, -(-block // STREAM) * STREAM)
 
 
 def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
@@ -270,11 +290,10 @@ def _simulate(
     A cell is (theta, n, p, m_values, cell_index); bern has one column per
     degree in m_values.  Every cell, and the job's MAX_SLOTS bound, is
     checked before any work.  A job that runs in this process (see
-    `_processes`) makes one block per cell, so
-    each score table is built once per kernel chunk.  A pooled job cuts each
-    cell into replicate blocks, about four per process for the whole job,
-    rounded up to a multiple of STREAM and never spanning two cells.  Each
-    block's values land in its cell's slots.
+    `_processes`) makes one block per cell, so each score table is built
+    once per kernel chunk.  A pooled job cuts each cell into replicate
+    blocks (see `_pooled_block`), never spanning two cells.  Each block's
+    values land in its cell's slots.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -283,11 +302,7 @@ def _simulate(
         raise ValueError(f"{slots} result slots (reps x score tables) exceed {MAX_SLOTS}")
     truths = [_true_rho(theta, n, p) for theta, n, p, _, _ in cells]
     processes = _processes(cells, reps, workers)
-    if processes == 1:
-        block = reps
-    else:
-        block = -(-reps * len(cells) // (4 * processes))
-        block = min(reps, -(-block // STREAM) * STREAM)
+    block = reps if processes == 1 else _pooled_block(reps, len(cells), processes)
     spans = [
         (k, start, min(start + block, reps))
         for k in range(len(cells))

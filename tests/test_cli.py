@@ -1,10 +1,17 @@
+import contextlib
+import io
+import os
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailrho import FgmModel, cli, mc
-from tailrho.cli import build_parser, main
+from tailrho.cli import DataFileError, build_parser, load_pairs, main
 
 
 def write_file(path, text):
@@ -114,6 +121,151 @@ class TestEstimate:
         )
         assert code == 0
         assert "rho_empirical = -1.5" in out_path.read_text()
+
+
+# Pieces of generated input files: every character Python counts as
+# whitespace, number spellings numpy's C reader and float() may read
+# differently, non-finite and malformed values, and empty fields.
+SPACES = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+SEPARATORS = st.one_of(st.sampled_from([",", " ", "\t", ", ", ",,", ""]), st.sampled_from(SPACES))
+ODD_TOKENS = [
+    "1_0", "\u0663", "\uff11", "inf", "-inf", "nan", "1e400", "-0", "0x10", "1e", "abc",
+    "\ufeff1", "1\x00", "+.5", "1.", "",
+]
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.17g}"),
+    st.integers(-1000, 1000).map(str),
+)
+TOKENS = st.one_of(NUMBERS, st.sampled_from(ODD_TOKENS))
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+COMMENTS = st.sampled_from(["", "", "# note", "#", "#1,2", " # x y z"])
+
+
+@st.composite
+def messy_line(draw):
+    """0 to 3 tokens with any separators, leading and trailing ones too."""
+    tokens = draw(st.lists(TOKENS, max_size=3))
+    seps = draw(st.lists(SEPARATORS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    body = seps[0] + "".join(t + sep for t, sep in zip(tokens, seps[1:]))
+    return body + draw(COMMENTS) + draw(ENDINGS)
+
+
+@st.composite
+def input_file(draw) -> bytes:
+    """Rows of two numbers with one delimiter, which numpy's C reader
+    accepts, then maybe one value respelled as an odd token, blank, comment
+    and messy lines in between, a BOM, and bytes that are not UTF-8."""
+    delimiter = draw(st.sampled_from([",", ", ", " ", "\t", "  "]))
+    values = [v for row in draw(st.lists(st.tuples(NUMBERS, NUMBERS), max_size=8)) for v in row]
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+    lines = [
+        x + delimiter + y + draw(COMMENTS) + draw(ENDINGS)
+        for x, y in zip(values[::2], values[1::2])
+    ]
+    blank = st.builds(lambda c, e: c + e, st.sampled_from(["", "# header", "#"]), ENDINGS)
+    for extra in draw(st.lists(st.one_of(blank, messy_line()), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    rarely = st.sampled_from([False, False, False, True])
+    data = (("\ufeff" if draw(rarely) else "") + "".join(lines)).encode("utf-8")
+    if draw(rarely):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[at:]
+    return data
+
+
+def line_parser_only():
+    """load_pairs with numpy's C reader switched off: the format's definition."""
+    return mock.patch.object(cli, "_read_table", lambda handle: None)
+
+
+def parsed(path):
+    """load_pairs' arrays as bytes, or its error message."""
+    try:
+        x, y = load_pairs(path)
+    except DataFileError as exc:
+        return str(exc)
+    assert x.dtype == y.dtype == np.float64
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    return x.tobytes(), y.tobytes()
+
+
+def run_estimate(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["estimate", "--input", path, "--p", "0.5"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestLoadPairs:
+    """numpy's C reader only speeds up `load_pairs`: the line parser defines
+    the format, so every array, message and exit code is the line parser's."""
+
+    @pytest.fixture(scope="class")
+    def input_path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("generated") / "input.txt")
+
+    @given(data=input_file())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_parser(self, input_path, data):
+        with open(input_path, "wb") as handle:
+            handle.write(data)
+        got, got_run = parsed(input_path), run_estimate(input_path)
+        with line_parser_only():
+            assert got == parsed(input_path)
+            assert got_run == run_estimate(input_path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# x, y\r\n1.5,2\r\n\r\n-3e-2 , 4 # inline\r\n5,\t6\r\n",
+         "1.5 2\n# note\n\n-3e-2\t4\n  5  6  \n"],
+        ids=["comma", "whitespace"],
+    )
+    def test_clean_file_skips_line_parser(self, tmp_path, text):
+        path = write_file(tmp_path / "clean.txt", text)
+        with mock.patch.object(cli, "_parse_lines", side_effect=AssertionError):
+            x, y = load_pairs(path)
+        assert x.tolist() == [1.5, -0.03, 5.0] and y.tolist() == [2.0, 4.0, 6.0]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"", "need at least 2 data rows, found 0"),
+         (b"# only\n# comments\n", "need at least 2 data rows, found 0"),
+         (b"1,2\n", "need at least 2 data rows, found 1"),
+         (b"1,2\n3,4\n5,1_0\n7,inf\n", "line 4: non-finite value"),
+         # text is decoded in blocks: a bad line is reported first only if
+         # the bad bytes lie in a later block
+         (b"1,2\n3,4,5\n" + b"5,6\n" * 5000 + b"\xff\n", "line 2: expected two columns, got 3"),
+         (b"1,2\n3,4,5\n\xff\n", "{path} is not UTF-8 text: invalid start byte")],
+        ids=["empty", "comments", "one-row", "non-finite", "bad-line-first", "bad-bytes-first"],
+    )
+    def test_error_is_one_line_without_warning(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        message = message.format(path=path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", "--input", str(path), "--p", "0.5"])
+        assert code == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
+        assert caught == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("1,2\n3,4\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        x, y = load_pairs(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert x.tolist() == [1.0, 3.0] and y.tolist() == [2.0, 4.0]
 
 
 class TestSimulate:

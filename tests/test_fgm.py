@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,20 @@ class TestLimitVariance:
         assert FgmModel(1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15)
         assert FgmModel(-1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15)
         assert FgmModel(0.5).limit_variance(1.0) == pytest.approx(169 / 180, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [2e-6, 1e-5, 1e-4, 1e-3, 0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("theta", [-1.0, -1.0 + 2**-20, -0.75, -0.5, 0.5])
+    def test_exact_rational_value(self, theta, p):
+        # the closed form in exact arithmetic; at theta = -1 and small p the
+        # variance is about p, and 1 + theta * (...) in floats cancelled
+        # down to 1.4e-10 relative accuracy at p = 2e-6
+        th, pf = Fraction(theta), Fraction(p)
+        q, r, s = 1 - pf, 2 * pf - 3, 3 * pf - 4
+        quad = pf * r * r * (((160 * pf - 396) * pf + 345) * pf - 120)
+        cubic = 90 * pf * pf * q**4 * r * r
+        exact = 1 + th * (720 * q**4 + th * (quad + th * cubic)) / (45 * s * s)
+        got = FgmModel(theta).limit_variance(p)
+        assert got == pytest.approx(float(exact), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("p", [0.0, 1e-6, 1.5, float("nan")])
     def test_rejects_bad_threshold(self, p):

@@ -434,16 +434,38 @@ class TestPoolRule:
         run_table(self.reference_grid(10_000), workers=1)
         assert calls == [(1, [(k, 0, 10_000) for k in range(30)])]
 
+    def test_many_degrees_at_small_n_run_in_process(self, calls):
+        # 2.0e7 kernel units, but 8 pooled blocks would each rebuild the
+        # tables of 1000 degrees: this ran 2x slower on 2 processes than on 1
+        degree_sweep(0.5, 5, 0.5, 1, 1000, reps=4000, seed=1, workers=2)
+        assert calls == [(1, [(0, 0, 4000)])]
+
     def test_threshold_is_the_work_estimate(self, monkeypatch):
         # reps * n * (RANK_COST + 1 + degrees) units: 250 per replicate here
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mc, "RANK_COST", 20)
+        monkeypatch.setattr(mc, "TABLE_COST", 0)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 2500)
         cells = [(0.5, 10, 0.5, [4, 5, 6, 7], 0)]
         assert mc._processes(cells, 10, 8) == 2
         assert mc._processes(cells, 9, 8) == 1
         assert mc._processes(cells * 2, 5, 8) == 2  # summed over cells
         assert mc._processes(cells, 10, 1) == 1
+
+    def test_table_builds_counted_once_per_block(self, monkeypatch):
+        # the 4 degrees have 5 + 6 + 7 + 8 = 26 weights; 200 replicates on 2
+        # processes make blocks of 64, so 4 blocks and 104 weights built
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "RANK_COST", 20)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 2500)
+        cells = [(0.5, 10, 0.5, [4, 5, 6, 7], 0)]
+        monkeypatch.setattr(mc, "TABLE_COST", 1)
+        assert mc._processes(cells, 10, 8) == 1  # 2500 - 26 units
+        assert mc._processes(cells, 11, 8) == 2  # 2750 - 26 units
+        monkeypatch.setattr(mc, "TABLE_COST", 456)
+        assert mc._processes(cells, 200, 8) == 2  # 50000 - 456 * 104 = 2576
+        monkeypatch.setattr(mc, "TABLE_COST", 457)
+        assert mc._processes(cells, 200, 8) == 1  # 50000 - 457 * 104 = 2472
 
 
 def loop_stats(x, true_rho):
