@@ -1,9 +1,11 @@
 """Command-line front end: data ingestion, experiment orchestration, and
 machine-readable outputs.
 
-Exit codes: 0 success, 1 a simulation cell failed, 2 usage or parse errors,
-3 data precondition failures (tied margins).  Bad flags are reported before
-any input is read or any replicate runs.  Result files are plain
+Exit codes: 0 success, 1 a computation failed (a simulation cell, a
+quadrature or an estimator), 2 usage or parse errors, 3 data precondition
+failures (tied margins).  Commands raise on failure; `main` alone turns the
+exception into the exit code and one stderr line.  Bad flags are reported
+before any input is read or any replicate runs.  Result files are plain
 comma-separated text with a fixed header, written atomically (temp file, then
 rename) so partial results never appear.  All commands are deterministic
 given identical flags and seed.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import os
 import sys
@@ -148,20 +149,19 @@ def _write_atomic(path: str, lines: list[str]) -> None:
         raise
 
 
-def _bad_out(path: str | None) -> bool:
-    """True, with a message on stderr, if `path` cannot become a result file:
-    it names no file (empty, ends in a separator, or is a directory) or its
-    directory is missing.  None means no --out was given."""
+def _check_out(path: str | None) -> None:
+    """Raise ValueError if `path` cannot become a result file: it names no
+    file (empty, ends in a separator, or is a directory), or its directory is
+    missing or not writable by this process.  None means no --out was given."""
     if path is None:
-        return False
+        return
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.basename(path) or os.path.isdir(path):
-        print(f"error: --out {path!r} must name a file", file=sys.stderr)
-    elif not os.path.isdir(directory):
-        print(f"error: output directory {directory} does not exist", file=sys.stderr)
-    else:
-        return False
-    return True
+        raise ValueError(f"--out {path!r} must name a file")
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ValueError(f"output directory {directory} is not writable")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -195,117 +195,68 @@ def _summary_row(cell: mc.CellSummary, columns: int) -> str:
     return ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in fields)
 
 
-def _run_and_write(out: str, run, header: str, noun: str) -> int:
-    """Check `out`, call `run` for the summaries, write them as CSV under
-    `header` (one column per header field), and report the file written.
-
-    A ValueError from `run` is a usage error (exit 2), a RuntimeError a
-    failed simulation cell (exit 1); either way no file is written.
-    """
-    if _bad_out(out):
-        return EXIT_USAGE
-    try:
-        rows = run()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+def _write_csv(out: str, rows: list[mc.CellSummary], header: str, noun: str) -> None:
+    """Write `rows` as CSV under `header` (one column per header field) and
+    report the file written."""
     columns = header.count(",") + 1
     _write_atomic(out, [header] + [_summary_row(row, columns) for row in rows])
     print(f"wrote {len(rows)} {noun} to {out}")
-    return EXIT_OK
 
 
-def _estimate_flag_error(args) -> str | None:
-    """What is wrong with estimate's --p or a fixed --degree, if anything."""
+def cmd_estimate(args) -> None:
     if not P_MIN < args.p <= 1.0:
-        return f"threshold p={args.p} outside ({P_MIN:g}, 1]"
+        raise ValueError(f"threshold p={args.p} outside ({P_MIN:g}, 1]")
     if args.degree != "rule_of_thumb" and not 1 <= args.degree <= MAX_DEGREE:
-        return f"degree m={args.degree} outside 1..{MAX_DEGREE}"
-    return None
-
-
-def cmd_estimate(args) -> int:
-    problem = _estimate_flag_error(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    if _bad_out(args.out):
-        return EXIT_USAGE
-    try:
-        x, y = load_pairs(args.input)
-    except DataFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"degree m={args.degree} outside 1..{MAX_DEGREE}")
+    _check_out(args.out)
+    x, y = load_pairs(args.input)
     if args.jitter:
         rng = np.random.default_rng(JITTER_SEED)
         x = jitter_margin(x, rng)
         y = jitter_margin(y, rng)
-    try:
-        ps = pseudo_observations(x, y)
-    except TiesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: rerun with --jitter to break ties", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ps = pseudo_observations(x, y)
 
     lines = [f"n = {ps.n}", f"p = {_fmt(args.p)}"]
-    try:
-        if args.method in ("bernstein", "both"):
-            m = rule_of_thumb_degree(ps.n) if args.degree == "rule_of_thumb" else args.degree
-            lines.append(f"m = {m}")
-        if args.method in ("empirical", "both"):
-            emp = rho_hat_empirical(ps, args.p)
-            lines.append(f"rho_empirical = {_fmt(emp.value)}")
-        if args.method in ("bernstein", "both"):
-            bern = rho_hat_bernstein(ps, args.p, m)
-            lines.append(f"rho_bernstein = {_fmt(bern.value)}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = "\n".join(lines)
-    print(report)
+    if args.method in ("bernstein", "both"):
+        m = rule_of_thumb_degree(ps.n) if args.degree == "rule_of_thumb" else args.degree
+        lines.append(f"m = {m}")
+    if args.method in ("empirical", "both"):
+        emp = rho_hat_empirical(ps, args.p)
+        lines.append(f"rho_empirical = {_fmt(emp.value)}")
+    if args.method in ("bernstein", "both"):
+        bern = rho_hat_bernstein(ps, args.p, m)
+        lines.append(f"rho_bernstein = {_fmt(bern.value)}")
+    print("\n".join(lines))
     if args.out:
         _write_atomic(args.out, lines)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    try:
-        config = mc.ExperimentConfig(
-            thetas=args.theta,
-            ns=args.n,
-            ps=args.p,
-            degree_rule=args.degree,
-            reps=args.reps,
-            seed=args.seed,
-        )
-        workers = mc.resolve_workers()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    run = functools.partial(mc.run_table, config, workers=workers)
-    return _run_and_write(args.out, run, SIMULATE_HEADER, "cells")
-
-
-def cmd_sweep(args) -> int:
-    run = functools.partial(
-        mc.degree_sweep, args.theta, args.n, args.p, 1, args.m_max, reps=args.reps, seed=args.seed
+def cmd_simulate(args) -> None:
+    config = mc.ExperimentConfig(
+        thetas=args.theta,
+        ns=args.n,
+        ps=args.p,
+        degree_rule=args.degree,
+        reps=args.reps,
+        seed=args.seed,
     )
-    return _run_and_write(args.out, run, SWEEP_HEADER, "degrees")
+    workers = mc.resolve_workers()
+    _check_out(args.out)
+    rows = mc.run_table(config, workers=workers)
+    _write_csv(args.out, rows, SIMULATE_HEADER, "cells")
 
 
-def cmd_asympt(args) -> int:
-    try:
-        model = FgmModel(args.theta)
-        report = _asymptotic_report(model, args.p, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_sweep(args) -> None:
+    _check_out(args.out)
+    rows = mc.degree_sweep(
+        args.theta, args.n, args.p, 1, args.m_max, reps=args.reps, seed=args.seed
+    )
+    _write_csv(args.out, rows, SWEEP_HEADER, "degrees")
+
+
+def cmd_asympt(args) -> None:
+    model = FgmModel(args.theta)
+    report = _asymptotic_report(model, args.p, args.n)
     # for this family the bias coefficient integrates to -2 * tail rho
     bias_closed = -2.0 * model.rho_tail_analytic(args.p)
     print(f"theta = {_fmt(args.theta)}")
@@ -322,7 +273,6 @@ def cmd_asympt(args) -> int:
     for label, m in (("optimal", report.degree), ("rule-of-thumb", report.rule_degree)):
         diff = report.expansion(m).difference
         print(f"expansion MSE difference at {label} degree m={m}: {_fmt(diff)}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,9 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; the only place an outcome becomes an exit code and
+    an error becomes one stderr line."""
+    args = build_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except TiesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print("hint: rerun with --jitter to break ties", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:  # DataFileError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -288,8 +288,8 @@ def _simulate(
     """(true rho, emp, bern) of every cell, in cell order.
 
     A cell is (theta, n, p, m_values, cell_index); bern has one column per
-    degree in m_values.  Every cell, and the job's MAX_SLOTS bound, is
-    checked before any work.  A job that runs in this process (see
+    degree in m_values.  Every cell, the seed and the job's MAX_SLOTS bound
+    are checked before any work.  A job that runs in this process (see
     `_processes`) makes one block per cell, so each score table is built
     once per kernel chunk.  A pooled job cuts each cell into replicate
     blocks (see `_pooled_block`), never spanning two cells.  Each block's
@@ -297,6 +297,8 @@ def _simulate(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     slots = reps * sum(1 + len(m_values) for _, _, _, m_values, _ in cells)
     if slots > MAX_SLOTS:
         raise ValueError(f"{slots} result slots (reps x score tables) exceed {MAX_SLOTS}")

@@ -32,7 +32,7 @@ class TestBiasCoeff:
 
     def test_center_value(self):
         assert bias_coeff(FgmModel(1.0), 0.5, 0.5) == pytest.approx(
-            -0.125, rel=1e-14
+            -0.125, rel=1e-14, abs=0
         )
 
     def test_factorized_form_and_sign(self):
@@ -43,14 +43,14 @@ class TestBiasCoeff:
             for _ in range(20):
                 u, v = rng.uniform(0.01, 0.99, 2)
                 expect = -2.0 * theta * u * (1 - u) * v * (1 - v)
-                assert bias_coeff(model, u, v) == pytest.approx(expect, rel=1e-12)
+                assert bias_coeff(model, u, v) == pytest.approx(expect, rel=1e-12, abs=0)
                 assert np.sign(bias_coeff(model, u, v)) == -np.sign(theta)
 
 
 class TestVarGain:
     def test_independence_center(self):
         got = var_gain(FgmModel(0.0), 0.5, 0.5)
-        assert got == pytest.approx(2 * 0.25 * 0.5 / math.sqrt(math.pi), rel=1e-12)
+        assert got == pytest.approx(2 * 0.25 * 0.5 / math.sqrt(math.pi), rel=1e-12, abs=0)
         assert got == pytest.approx(0.141047, abs=1e-6)
 
     def test_boundary_zero(self):
@@ -118,8 +118,8 @@ class TestNormalizedTailIntegral:
         got = normalized_tail_integral(
             lambda u, v: np.ones(np.broadcast(u, v).shape), p
         )
-        assert got == pytest.approx(p * p / normalizer(p), rel=1e-12)
-        assert got == pytest.approx(9.6, rel=1e-12)
+        assert got == pytest.approx(p * p / normalizer(p), rel=1e-12, abs=0)
+        assert got == pytest.approx(9.6, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("p", PS)
@@ -183,13 +183,13 @@ class TestOptimalDegree:
         )
         gain_term /= normalizer(p)
         expect = (4.0 * bias_term**2 / gain_term * n) ** (2.0 / 3.0)
-        assert optimal_degree(model, p, n) == pytest.approx(expect, rel=1e-8)
+        assert optimal_degree(model, p, n) == pytest.approx(expect, rel=1e-8, abs=0)
 
     def test_n_scaling_identity(self):
         model = FgmModel(0.5)
         for n in (25, 100, 400):
             ratio = optimal_degree(model, 0.5, 8 * n) / optimal_degree(model, 0.5, n)
-            assert ratio == pytest.approx(4.0, rel=1e-12)
+            assert ratio == pytest.approx(4.0, rel=1e-12, abs=0)
 
     def test_monotone_in_n(self):
         model = FgmModel(-0.5)
@@ -206,7 +206,7 @@ class TestMseExpansions:
         gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p)
         expect = -gain_term / (n * math.sqrt(m)) + (bias_term / m) ** 2
         got = mse_expansions(model, p, n, m)
-        assert got.difference == pytest.approx(expect, rel=1e-12)
+        assert got.difference == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_difference_vanishes_for_large_degree(self):
         model = FgmModel(1.0)

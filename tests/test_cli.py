@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tailrho import FgmModel, cli, mc
 from tailrho.cli import DataFileError, build_parser, load_pairs, main
+from tailrho.quadrature import QuadratureError
 
 
 def write_file(path, text):
@@ -620,6 +621,49 @@ class TestFailFast:
         assert "must name a file" in one_error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    @pytest.mark.parametrize("command", [SIMULATE, SWEEP])
+    def test_negative_seed_checked_before_simulating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replicates were scheduled")
+
+        monkeypatch.setattr(mc, "_pool_map", no_pool)
+        out = tmp_path / "x.csv"
+        code = main(command + ["--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "sweep"])
+    def test_unwritable_out_dir(self, comonotone_file, tmp_path, capsys, monkeypatch, command):
+        # the tests may run as root, which ignores permission bits, so the
+        # directory is made unwritable by answering os.access for it
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        real_access = os.access
+        target = tmp_path / "locked"
+        target.mkdir()
+
+        def access(path, mode, **kwargs):
+            if os.path.abspath(path) == str(target):
+                return False
+            return real_access(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli.os, "access", access)
+        monkeypatch.setattr(mc, "_pool_map", no_work)
+        monkeypatch.setattr(cli, "load_pairs", no_work)
+        argv = {
+            "estimate": ["estimate", "--input", comonotone_file, "--p", "1.0"],
+            "simulate": SIMULATE,
+            "sweep": SWEEP,
+        }[command]
+        code = main(argv + ["--out", str(target / "x.csv")])
+        assert code == 2
+        assert f"output directory {target} is not writable" in one_error_line(capsys)
+        assert list(target.iterdir()) == []
+
     def test_estimate_missing_out_dir(self, comonotone_file, tmp_path, capsys):
         code = main(["estimate", "--input", comonotone_file, "--p", "1.0",
                      "--out", str(tmp_path / "missing" / "r.txt")])
@@ -692,3 +736,21 @@ class TestWorkerFailure:
         err = one_error_line(capsys)
         assert "simulation cell (theta=0.5, n=20, p=0.5) failed: sampler broke" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["asympt", "--theta", "0.5", "--p", "0.1", "--n", "200"], "_asymptotic_report"),
+        (["estimate", "--p", "1.0"], "rho_hat_bernstein"),
+    ],
+)
+def test_computation_failure_exits_one(comonotone_file, capsys, monkeypatch, argv, name):
+    def fail(*args, **kwargs):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(cli, name, fail)
+    if argv[0] == "estimate":
+        argv = argv + ["--input", comonotone_file]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: no convergence\n")

@@ -38,9 +38,9 @@ def rectangle_integral(ps, p):
 
 class TestNormalizer:
     def test_closed_forms(self):
-        assert normalizer(1.0) == pytest.approx(1.0 / 12.0, rel=1e-14)
-        assert normalizer(0.5) == pytest.approx(5.0 / 192.0, rel=1e-14)
-        assert normalizer(0.1) == pytest.approx(1 / 3000 - 1 / 40000, rel=1e-14)
+        assert normalizer(1.0) == pytest.approx(1.0 / 12.0, rel=1e-14, abs=0)
+        assert normalizer(0.5) == pytest.approx(5.0 / 192.0, rel=1e-14, abs=0)
+        assert normalizer(0.1) == pytest.approx(1 / 3000 - 1 / 40000, rel=1e-14, abs=0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestEmpiricalEstimator:
         ps = pseudo_observations([1, 2, 3, 4, 5], [5, 4, 3, 2, 1])
         res = rho_hat_empirical(ps, 0.1)
         assert res.integral == 0.0
-        assert res.value == pytest.approx(-3 * 0.1 / (4 - 3 * 0.1), rel=1e-12)
+        assert res.value == pytest.approx(-3 * 0.1 / (4 - 3 * 0.1), rel=1e-12, abs=0)
         assert res.value == pytest.approx(-0.081081, abs=1e-6)
 
     def test_rectangle_oracle_small(self):
@@ -128,7 +128,7 @@ class TestEmpiricalEstimator:
         assert res.method == "empirical"
         assert res.m is None
         assert res.value == pytest.approx(
-            (res.integral - 0.8**4 / 4) / normalizer(0.8), rel=1e-14
+            (res.integral - 0.8**4 / 4) / normalizer(0.8), rel=1e-14, abs=0
         )
 
 
@@ -136,8 +136,8 @@ class TestBernsteinEstimator:
     def test_hand_example(self):
         ps = pseudo_observations([1, 2], [1, 2])
         res = rho_hat_bernstein(ps, 1.0, 2)
-        assert res.integral == pytest.approx(2.5 / 9.0, rel=1e-14)
-        assert res.value == pytest.approx((2.5 / 9.0 - 0.25) * 12.0, rel=1e-12)
+        assert res.integral == pytest.approx(2.5 / 9.0, rel=1e-14, abs=0)
+        assert res.value == pytest.approx((2.5 / 9.0 - 0.25) * 12.0, rel=1e-12, abs=0)
 
     def test_quadrature_oracle(self):
         rng = np.random.default_rng(42)

@@ -19,13 +19,13 @@ def ks_uniform_distance(sample):
 
 class TestCdf:
     def test_independence(self):
-        assert FgmModel(0.0).cdf(0.3, 0.8) == pytest.approx(0.24, rel=1e-14)
+        assert FgmModel(0.0).cdf(0.3, 0.8) == pytest.approx(0.24, rel=1e-14, abs=0)
 
     def test_positive_dependence_center(self):
-        assert FgmModel(1.0).cdf(0.5, 0.5) == pytest.approx(0.3125, rel=1e-14)
+        assert FgmModel(1.0).cdf(0.5, 0.5) == pytest.approx(0.3125, rel=1e-14, abs=0)
 
     def test_uniform_margin(self):
-        assert FgmModel(-1.0).cdf(1.0, 0.7) == pytest.approx(0.7, rel=1e-14)
+        assert FgmModel(-1.0).cdf(1.0, 0.7) == pytest.approx(0.7, rel=1e-14, abs=0)
         assert FgmModel(0.5).cdf(0.0, 0.7) == 0.0
 
     def test_parameter_and_domain_validation(self):
@@ -42,8 +42,8 @@ class TestPartials:
 
     def test_center_values(self):
         c_u, _, c_uu, _ = FgmModel(1.0).partials(0.5, 0.5)
-        assert c_u == pytest.approx(0.5, rel=1e-14)
-        assert c_uu == pytest.approx(-0.5, rel=1e-14)
+        assert c_u == pytest.approx(0.5, rel=1e-14, abs=0)
+        assert c_uu == pytest.approx(-0.5, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("theta", [-1.0, -0.3, 0.7, 1.0])
     def test_finite_difference_lattice(self, theta):
@@ -85,7 +85,7 @@ class TestSampler:
         a = 0.6
         v = 2 * 0.7 / ((1 + a) + np.sqrt((1 + a) ** 2 - 4 * a * 0.7))
         assert v == pytest.approx(0.551595, abs=5e-6)
-        assert v == pytest.approx(0.5515973733627616, rel=1e-14)
+        assert v == pytest.approx(0.5515973733627616, rel=1e-14, abs=0)
         residual = v + a * (v - v * v) - 0.7
         assert abs(residual) <= 1e-12
 
@@ -180,7 +180,7 @@ class TestLimitVariance:
     @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_matches_influence_function_quadrature(self, theta, p):
         got = FgmModel(theta).limit_variance(p)
-        assert got == pytest.approx(limit_variance_quadrature(theta, p), rel=1e-12)
+        assert got == pytest.approx(limit_variance_quadrature(theta, p), rel=1e-12, abs=0)
 
     @given(st.floats(1e-6, 1.0, exclude_min=True))
     @settings(max_examples=50, deadline=None)
@@ -189,9 +189,9 @@ class TestLimitVariance:
 
     def test_spearman_rho_at_full_range(self):
         # the influence-function variance of Spearman's rho under FGM
-        assert FgmModel(1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15)
-        assert FgmModel(-1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15)
-        assert FgmModel(0.5).limit_variance(1.0) == pytest.approx(169 / 180, rel=1e-15)
+        assert FgmModel(1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15, abs=0)
+        assert FgmModel(-1.0).limit_variance(1.0) == pytest.approx(34 / 45, rel=1e-15, abs=0)
+        assert FgmModel(0.5).limit_variance(1.0) == pytest.approx(169 / 180, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("p", [2e-6, 1e-5, 1e-4, 1e-3, 0.1, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("theta", [-1.0, -1.0 + 2**-20, -0.75, -0.5, 0.5])

@@ -103,7 +103,7 @@ class TestRunCell:
     def test_reduction_definition(self):
         cell = run_cell(0.0, 30, 0.5, 9, reps=300, seed=2, workers=1)
         assert cell.mse_reduction_pct == pytest.approx(
-            100.0 * (1.0 - cell.mse_bern / cell.mse_emp), rel=1e-12
+            100.0 * (1.0 - cell.mse_bern / cell.mse_emp), rel=1e-12, abs=0
         )
 
 
@@ -159,7 +159,7 @@ class TestDegreeSweep:
         # interior degree and climbs back toward the empirical MSE
         rows = degree_sweep(1.0, 50, 1.0, 1, 40, reps=2000, seed=10, workers=2)
         mse = {row.m: row.mse_bern for row in rows}
-        assert mse[1] == pytest.approx((1.0 / 3.0) ** 2, rel=1e-12)
+        assert mse[1] == pytest.approx((1.0 / 3.0) ** 2, rel=1e-12, abs=0)
         assert mse[1] > mse[13]
         best = min(mse, key=mse.get)
         assert 1 < best < 40

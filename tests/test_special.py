@@ -121,11 +121,11 @@ class TestIncompleteBeta:
         assert incomplete_beta(0.5, 1, 1) == pytest.approx(0.5, abs=1e-15)
 
     def test_complete_beta(self):
-        assert incomplete_beta(1.0, 2, 3) == pytest.approx(1.0 / 12.0, rel=1e-13)
+        assert incomplete_beta(1.0, 2, 3) == pytest.approx(1.0 / 12.0, rel=1e-13, abs=0)
 
     def test_half_range(self):
         # integral of t(1-t) from 0 to 1/2 is 1/8 - 1/24
-        assert incomplete_beta(0.5, 2, 2) == pytest.approx(1.0 / 12.0, rel=1e-13)
+        assert incomplete_beta(0.5, 2, 2) == pytest.approx(1.0 / 12.0, rel=1e-13, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestIncompleteBeta:
         val, err = integrate.quad(
             lambda t: t ** (a - 1.0) * (1.0 - t) ** (b - 1.0), 0.0, 0.6
         )
-        assert incomplete_beta(0.6, a, b) == pytest.approx(val, rel=1e-8)
+        assert incomplete_beta(0.6, a, b) == pytest.approx(val, rel=1e-8, abs=0)
 
     @given(
         x=st.floats(min_value=0.0, max_value=1.0),
