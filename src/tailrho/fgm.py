@@ -83,14 +83,31 @@ class FgmModel:
         subtractive form suffers as a -> 0; a linear branch covers |a| below
         1e-12.  Every operation is correctly rounded and elementwise, so a
         (k, n) block gives the same bits as k separate rows.
+
+        The operations run in place on three arrays, in the order the
+        formula reads (sums and products of two operands commute exactly in
+        IEEE arithmetic; -1e-12 < a < 1e-12 is |a| < 1e-12).  At theta = 0,
+        a is a signed zero for every finite u, so the result is a copy of t.
         """
-        a = self.theta * (1.0 - 2.0 * u)
-        disc = (1.0 + a) ** 2 - 4.0 * a * t
-        return np.where(
-            np.abs(a) < 1e-12,
-            t,
-            2.0 * t / ((1.0 + a) + np.sqrt(np.maximum(disc, 0.0))),
-        )
+        if self.theta == 0.0:
+            return np.array(t, dtype=float)
+        shape = np.shape(u)  # out= keeps scalars' results 0-d arrays
+        a = np.multiply(u, 2.0, out=np.empty(shape))
+        np.subtract(1.0, a, out=a)
+        a *= self.theta  # a = theta * (1 - 2u)
+        linear = (a < 1e-12) & (a > -1e-12)
+        b = np.add(a, 1.0, out=np.empty(shape))
+        disc = np.multiply(b, b, out=np.empty(shape))
+        a *= 4.0
+        a *= t
+        disc -= a  # (1 + a)^2 - 4at
+        np.maximum(disc, 0.0, out=disc)
+        np.sqrt(disc, out=disc)
+        disc += b
+        v = np.multiply(t, 2.0, out=a)
+        v /= disc  # 2t / ((1 + a) + sqrt(disc))
+        np.copyto(v, t, where=linear)
+        return v
 
     def rho_tail_analytic(self, p: float) -> float:
         """Exact lower-tail rho: theta * (p^2/2 - p^3/3)^2 / (p^3/3 - p^4/4).

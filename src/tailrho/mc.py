@@ -4,24 +4,33 @@ Bernstein-smoothed tail-rho estimators under the FGM model.
 Determinism contract: the replicates of a cell are cut into stream chunks
 of STREAM = 64.  Chunk c of cell k owns one generator, derived statelessly
 from (seed, k, c) via SeedSequence spawn keys, and it draws, for each of
-its replicates in order, u (n values) and then t (n values).  Replicate
-results land in preallocated slot arrays by index, every step after the
-draws treats each replicate on its own, and all reductions run in fixed
-index order with compensated summation.  Output is therefore bit-identical
-for any worker count, any scheduling order, any chunk size and any BLAS
-thread count (no step calls BLAS); powers are written as products, so the
-C library's `pow` plays no part either.  STREAM is part of the numbers, not
-a tuning knob: changing it changes every result.
+its replicates in order, u (n values) and then t (n values).  The
+replicate's sample is the n pairs (sort(u)_j, v_j) with
+v = FgmModel.from_uniforms(sort(u), t), listed in increasing v: u and t are
+independent i.i.d. uniforms, so sorting u first leaves the pairs' joint law
+alone, and both estimators are symmetric in pair order.  Its two values are,
+bit for bit, what `pseudo_observations(..., "n+1")` and `rho_hat_*` give on
+that list.  Replicate results land in preallocated slot arrays by index,
+every step after the draws treats each replicate on its own, and all
+reductions run in fixed index order with compensated summation.  Output is
+therefore bit-identical for any worker count, any scheduling order, any
+chunk size and any BLAS thread count (no step calls BLAS); powers are
+written as products, so the C library's `pow` plays no part either.  STREAM
+and the recipe are part of the numbers, not tuning knobs: changing either
+changes every result.
 
 A replicate block starts at a multiple of STREAM and fills each kernel
 chunk's uniforms with one draw per stream chunk it meets; a stream chunk
 longer than a kernel chunk carries its generator on to the next one.  The
-kernel works on chunks of at most max(1, CHUNK // n) replicates at once: the
-FGM inversion, the ranks and their checks, and one rank statistic per score
-table (see `estimators`) run over (rows, n) arrays, so a replicate's value
-is the one `sample`, `pseudo_observations` and `rho_hat_*` give on its
-stream; the chunk only bounds memory to O(CHUNK) floats per array plus one
-degree's tail weights.
+kernel works on chunks of at most max(1, CHUNK // n) replicates at once,
+over (rows, n) arrays: it sorts the rows of u in place, so the first
+margin's ranks are 1..n and its tie check compares neighbours; inverts;
+orders each row of v with one argsort; and then pays one gather per score
+table (see `_rank_sums`).  The chunk bounds memory to O(CHUNK) floats per
+array plus one degree's tail weights.  Each thread keeps one set of work
+arrays (the draws, v's flat sort indices, the sorted v and one table's
+products, with room for CHUNK values each) for all its later chunks,
+blocks and jobs; a block with n > CHUNK allocates its own and drops it.
 
 Every entry point (a grid, one cell, a degree sweep) runs its cells as
 replicate blocks on one path.  A job whose estimated work (reps * n *
@@ -41,14 +50,15 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asympt import rule_of_thumb_degree
-from .copula import _margin_ranks
-from .estimators import P_MIN, bernstein_scores, empirical_scores, rank_integral, tail_rho
+from .copula import TiesError
+from .estimators import P_MIN, bernstein_scores, empirical_scores, tail_rho
 from .fgm import FgmModel
 from .special import MAX_DEGREE, tail_weights
 
@@ -91,15 +101,19 @@ STREAM = 64
 # whose kernel work, less the table builds of its pooled blocks, is below
 # POOL_MIN_WORK units runs in this process, since a pool would cost more
 # than it saves.  All three are measured on a 2-CPU x86-64 machine:
-# RANK_COST from the kernel's time per replicate with 0 and 60 score tables
-# (15-25 at n = 50, 200 and 1000); TABLE_COST from the time of building
-# degrees 1..1000 (100 units per weight; 75-325 for other degree ranges,
-# where the per-table call overhead weighs more); and POOL_MIN_WORK where two
-# processes started to beat one (1.0-1.8e7 units, about 100 ms of work, for
-# grids, single cells and sweeps).
-RANK_COST = 20
-TABLE_COST = 100
-POOL_MIN_WORK = 15 * 10**6
+# RANK_COST from the kernel's time per replicate with 0 and 60 score tables,
+# (t0 / ((t60 - t0) / 60) / n) - 1 over blocks of two kernel chunks (13-15
+# at n = 50, 200 and 1000, one unit about 4 ns); TABLE_COST from the time
+# of building degrees 1..1000 (175 units per weight; 230-320 for other
+# degree ranges, where the per-table call overhead weighs more); and
+# POOL_MIN_WORK where two processes started to beat one: 1.3-2.6e7 units
+# for single cells and sweeps, 2.4-3.6e7 for 30-cell grids (about 100 ms of
+# work).  The two CPUs' parallel capacity varied from run to run, so these
+# crossings are approximate; below the threshold a pool would save at most
+# about 10%, above it a grid would lose up to half.
+RANK_COST = 14
+TABLE_COST = 175
+POOL_MIN_WORK = 25 * 10**6
 
 # Most result values (reps x score tables, summed over the cells) a job may
 # ask for: 800 MB of float64.
@@ -235,12 +249,15 @@ def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
     start must be a multiple of STREAM.  The replicates run in kernel chunks
     of max(1, CHUNK // n).  A chunk's (rows, 2, n) uniforms (u, then t, of
     each replicate) take one draw per stream chunk it meets; a stream's
-    generator carries over into the next kernel chunk.  Then come the FGM
-    inversion, the ranks with their finite and tie checks (the
-    boundary-avoiding rank/(n+1) scaling standard rank-copula software
-    applies), and one rank integral per score table.  The tables (empirical,
-    then one per requested degree) are built one at a time from their tail
-    weights, so memory does not grow with the number of degrees, and the
+    generator carries over into the next kernel chunk.  Each row of u is
+    sorted in place, so its ranks are 1..n, and v = from_uniforms(u, t).
+    One argsort of v per chunk orders each replicate's pairs by v; the
+    sorted v gets the finite and tie checks, and each score table T
+    (empirical, then one per requested degree, built one at a time from
+    its tail weights) costs one gather: the corner integral is
+    (1/n) * sum_k T[order_k + 1] * T[k + 1], summed in increasing v.  This
+    is the value `pseudo_observations(..., "n+1")` and `rho_hat_*` give on
+    the pairs (sort(u)_j, v_j) listed in increasing v, bit for bit.  The
     same sample serves all degrees (common random numbers).  A failure is
     re-raised with the cell's (theta, n, p) attached.
     """
@@ -251,9 +268,12 @@ def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
         model = FgmModel(theta)
         integrals = np.empty((stop - start, 1 + len(m_values)))
         rows = max(1, CHUNK // n)
+        work = _work_arrays(min(rows, stop - start) * n)
+        offsets = np.arange(0, rows * n, n)[:, None]
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
-            draws = np.empty((hi - lo, 2, n))
+            size = (hi - lo) * n
+            draws = work.draws[: 2 * size].reshape(hi - lo, 2, n)
             cuts = [lo, *range((lo // STREAM + 1) * STREAM, hi, STREAM), hi]
             for a, b in zip(cuts, cuts[1:]):
                 if a % STREAM == 0:
@@ -261,18 +281,79 @@ def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
                     rng = np.random.default_rng(seq)
                 rng.random(out=draws[a - lo : b - lo])
             u, t = draws[:, 0], draws[:, 1]
-            rx, ry = _margin_ranks(u, model.from_uniforms(u, t))
+            u.sort(axis=-1)
+            v = model.from_uniforms(u, t)
+            order = v.argsort(axis=-1)
+            flat = np.add(order, offsets[: hi - lo], out=work.flat[:size].reshape(hi - lo, n))
+            sorted_v = np.take(v, flat, out=work.sorted[:size].reshape(hi - lo, n), mode="clip")
+            _check_sorted(u, sorted_v)
+            products = work.products[:size].reshape(hi - lo, n)
             chunk = integrals[lo - start : hi - start]
-            chunk[:, 0] = rank_integral(rx, ry, empirical_scores(p, n + 1))
+            chunk[:, 0] = _rank_sums(empirical_scores(p, n + 1), order, products)
             for j, m in enumerate(m_values, 1):
                 scores = bernstein_scores(tail_weights(p, m), n + 1)
-                chunk[:, j] = rank_integral(rx, ry, scores)
+                chunk[:, j] = _rank_sums(scores, order, products)
         values = tail_rho(integrals, p)
     except Exception as exc:
         raise RuntimeError(
             f"simulation cell (theta={theta}, n={n}, p={p}) failed: {exc}"
         ) from exc
     return values[:, 0], values[:, 1:]
+
+
+class _WorkArrays:
+    """A kernel chunk's work arrays, with room for `size` sample values: the
+    draws (u and t), the flat index of each v in sorted order, the sorted v,
+    and one score table's products."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.draws = np.empty(2 * size)
+        self.flat = np.empty(size, dtype=np.intp)
+        self.sorted = np.empty(size)
+        self.products = np.empty(size)
+
+
+_thread = threading.local()
+
+
+def _work_arrays(size: int) -> _WorkArrays:
+    """Work arrays for chunks of up to `size` values.  Up to CHUNK values
+    this thread keeps one set, with room for CHUNK, for every later chunk,
+    block and job; a larger size gets a set of its own, freed with its
+    block, so no thread keeps more than CHUNK values per array."""
+    if size > CHUNK:
+        return _WorkArrays(size)
+    work = getattr(_thread, "work", None)
+    if work is None or work.size < size:
+        work = _thread.work = _WorkArrays(CHUNK)
+    return work
+
+
+def _check_sorted(u: np.ndarray, sorted_v: np.ndarray) -> None:
+    """The checks `pseudo_observations` makes, on the rows of both margins
+    sorted ascending, where equal values sit next to each other.  The u are
+    the generator's uniforms in [0, 1); a sort puts any -inf of v first and
+    any +inf or NaN last."""
+    if not np.isfinite(sorted_v[:, [0, -1]]).all():
+        raise ValueError("sample contains non-finite values")
+    for rows, label in ((u, "first"), (sorted_v, "second")):
+        if np.any(rows[:, 1:] == rows[:, :-1]):
+            raise TiesError(
+                f"duplicate values in the {label} margin; ranks are undefined "
+                "(continuous data expected; consider jittering)"
+            )
+
+
+def _rank_sums(scores: np.ndarray, order: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """(1/n) * sum_k scores[order_k + 1] * scores[k + 1] of each row of
+    `order` (shape (rows, n)), through `products`: `rank_integral` of the
+    ranks (order + 1, 1..n).  Each row's sum is numpy's pairwise summation
+    of its n products, with no BLAS."""
+    n = order.shape[-1]
+    np.take(scores[1:], order, out=products, mode="clip")
+    products *= scores[1 : n + 1]
+    return products.sum(axis=-1) / n
 
 
 def _true_rho(theta: float, n: int, p: float) -> float:

@@ -52,7 +52,9 @@ def _binom_pmf(n_trials: int, prob: float) -> np.ndarray:
     Mode-anchored multiplicative recurrence: start from 1 at the mode, sweep
     outward with the pmf ratio, then normalize.  Entries only shrink away from
     the mode, so nothing overflows; far tails may flush to zero, which is
-    harmless at the absolute accuracies required here.
+    harmless at the absolute accuracies required here.  The normalising
+    sum is math.fsum, correctly rounded, over a list, which it reads faster
+    than the array's numpy scalars.
     """
     out = np.zeros(n_trials + 1)
     if prob == 0.0:
@@ -71,7 +73,7 @@ def _binom_pmf(n_trials: int, prob: float) -> np.ndarray:
         j = np.arange(mode, 0, -1, dtype=float)
         down = np.cumprod(j / (n_trials - j + 1.0) / odds)
         out[:mode] = down[::-1]
-    return out / math.fsum(out)
+    return out / math.fsum(out.tolist())
 
 
 def tail_weights(p: float, m: int) -> TailWeights:

@@ -5,9 +5,9 @@ builds the objects they are defined through.  Those objects live here: the
 empirical copula, its lattice extraction (the copula grid), the Bernstein
 smoother of that grid, the population tail-rho functional, the pointwise
 limiting variance of the empirical copula, the exact permutation moments
-of a linear rank statistic under independence, and the limit variance of the
+of a linear rank statistic under independence, the limit variance of the
 empirical tail rho, both by quadrature of its influence function and by
-Monte Carlo.
+Monte Carlo, and the FGM conditional inversion as one array expression.
 """
 
 from __future__ import annotations
@@ -102,6 +102,20 @@ def rho_tail_population(copula_cdf, p: float, tol: float = 1e-10) -> float:
     scale = normalizer(p)  # checks p
     integral = integrate_square(copula_cdf, p, tol)
     return (integral - p**4 / 4.0) / scale
+
+
+def fgm_inversion(theta: float, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """FGM conditional inversion as one expression: with a = theta*(1-2u),
+    the root 2t / ((1+a) + sqrt((1+a)^2 - 4at)) of v + a*(v - v^2) = t,
+    and t itself where |a| < 1e-12.  `FgmModel.from_uniforms` must give
+    these bits."""
+    a = theta * (1.0 - 2.0 * u)
+    disc = (1.0 + a) ** 2 - 4.0 * a * t
+    return np.where(
+        np.abs(a) < 1e-12,
+        t,
+        2.0 * t / ((1.0 + a) + np.sqrt(np.maximum(disc, 0.0))),
+    )
 
 
 def pointwise_variance(model, u, v):

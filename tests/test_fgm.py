@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailrho import FgmModel
-from definitions import limit_variance_quadrature, rho_tail_population
+from definitions import fgm_inversion, limit_variance_quadrature, rho_tail_population
 
 
 def ks_uniform_distance(sample):
@@ -116,6 +116,30 @@ class TestSampler:
             xy = model.sample(n, np.random.default_rng(i))
             assert xy[:, 0].tolist() == u[i].tolist()
             assert xy[:, 1].tolist() == v[i].tolist()
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.3, -0.0, 0.0, 1e-13, 0.7, 1.0])
+    @pytest.mark.parametrize("shape", [(200,), (6, 200)])
+    def test_inversion_matches_expression(self, theta, shape):
+        # the in-place inversion carries the bits of the one-expression form,
+        # also on both sides of the linear branch's cut |a| < 1e-12 (a =
+        # theta*(1-2u) is about +-2e-12 theta at u = 0.5 -+ 1e-12), at the
+        # ends of [0, 1) and on the engine's strided rows of u (every other
+        # row of draws)
+        rng = np.random.default_rng(3)
+        draws = rng.random((2, *shape))
+        draws[0].flat[:8] = [0.5, 0.5 + 1e-14, 0.5 - 1e-14, 0.5 + 1e-12,
+                             0.5 - 1e-12, 0.5 + 4e-13, 0.0, 1.0 - 2**-53]
+        u, t = draws
+        v = FgmModel(theta).from_uniforms(u, t)
+        assert v.tobytes() == fgm_inversion(theta, u, t).tobytes()
+        stacked = rng.random((*shape[:-1], 2, shape[-1]))
+        u, t = stacked[..., 0, :], stacked[..., 1, :]
+        v = FgmModel(theta).from_uniforms(u, t)
+        assert v.tobytes() == fgm_inversion(theta, u, t).tobytes()
+        v[...] = -1.0  # a fresh array, even at theta = 0
+        assert np.all(t >= 0.0)
+        scalar = FgmModel(theta).from_uniforms(0.5 + 1e-12, 0.75)
+        assert scalar.tobytes() == fgm_inversion(theta, 0.5 + 1e-12, 0.75).tobytes()
 
     def test_margin_uniformity(self):
         n = 100_000

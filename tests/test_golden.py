@@ -2,10 +2,12 @@
 
 Each case hashes the exact hexadecimal form of every CellSummary field, so a
 refactor of the replicate, pool or reduction code that changes even the last
-bit of one number fails here.  They were last moved on purpose by the
-streams keyed by 64-replicate chunks, the BLAS-free row sums and the
-products in place of `pow`; a deliberate change of random stream or of
-reduction order must update them and say so in CHANGES.md.
+bit of one number fails here.  They were moved on purpose by the streams
+keyed by 64-replicate chunks, the BLAS-free row sums and the products in
+place of `pow`, and last by sorting each replicate's first margin before the
+inversion and summing its rank products in increasing second coordinate; a
+deliberate change of random stream or of reduction order must update them
+and say so in CHANGES.md.
 """
 
 import dataclasses
@@ -29,10 +31,10 @@ def digest(rows) -> str:
 GRID = ExperimentConfig(
     thetas=(-1.0, 0.0, 0.5), ns=(15, 40), ps=(0.1, 1.0), reps=40, seed=2024
 )
-GRID_DIGEST = "92e5f08335b2a6bbf365ae7d62931b4fca93cca0a2533e231da0af3565ad10d7"
-SWEEP_DIGEST = "12e64b175f430af647ee6b997db4ea9a8d2e8f62a095b1500ad32a77b867b49c"
-SINGLE_REP_DIGEST = "b997533d849d23936c37d29bd35a248ef45b5cc434eea78be6b4b35c500a4421"
-LIMIT_VARIANCE_DIGEST = "50c689372d2a6fb6b011368f0ed7108158d2958649c73ff8ed44832d068b26b6"
+GRID_DIGEST = "0fa2f736a84ec3315d8a887fcacbe2b1a2b9061c5c0c62d8a649986dcb727f79"
+SWEEP_DIGEST = "b5c31353f880b050bb962eef410c7976731bb1452f7ea099f9072d51d191dfd4"
+SINGLE_REP_DIGEST = "eda16013cf86d039b6571181b77ba023c3377e41b6ddcd96ffca1a5017d00b62"
+LIMIT_VARIANCE_DIGEST = "295cef679d62d00f491438861a9b332bbfda0858b4f84f9d08f2e364683649fd"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -493,12 +495,17 @@ class TestSummaryReduction:
 
 
 def stream_sample(theta, n, seed, cell_index, rep):
-    """Replicate rep's sample, rebuilt with the public sampler: its stream
-    chunk rep // 64 first draws u and t for each earlier replicate in it."""
+    """Replicate rep's sample, rebuilt with the public sampler's formula: its
+    stream chunk rep // 64 first draws u and t for each earlier replicate in
+    it; the sample is the pairs (sort(u)_j, v_j) with v = from_uniforms(
+    sort(u), t), listed in increasing v."""
     seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep // 64))
     rng = np.random.default_rng(seq)
     rng.random(2 * n * (rep % 64))
-    return FgmModel(theta).sample(n, rng)
+    u = np.sort(rng.random(n))
+    v = FgmModel(theta).from_uniforms(u, rng.random(n))
+    order = np.argsort(v)
+    return u[order], v[order]
 
 
 class TestKernelMatchesPublicApi:
@@ -517,8 +524,8 @@ class TestKernelMatchesPublicApi:
         m_values = [1, rule_of_thumb_degree(n), n + 7]
         emp, bern = mc._replicate_block(((theta, n, p, m_values, cell_index), seed, start, stop))
         for i, rep in enumerate(range(start, stop)):
-            xy = stream_sample(theta, n, seed, cell_index, rep)
-            ps = pseudo_observations(xy[:, 0], xy[:, 1], denominator="n+1")
+            x, y = stream_sample(theta, n, seed, cell_index, rep)
+            ps = pseudo_observations(x, y, denominator="n+1")
             assert emp[i] == rho_hat_empirical(ps, p).value
             assert bern[i].tolist() == [rho_hat_bernstein(ps, p, m).value for m in m_values]
 
@@ -536,6 +543,69 @@ class TestChunking:
         chunked_emp, chunked_bern = mc._replicate_block(args)
         assert chunked_emp.tolist() == emp.tolist()
         assert chunked_bern.tolist() == bern.tolist()
+
+
+def in_new_thread(fn):
+    """fn() in a thread of its own, which starts with no work arrays."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
+class TestWorkArrays:
+    """A thread keeps one set of kernel work arrays, for CHUNK values, and
+    reuses it for every block; a larger block's arrays are not kept."""
+
+    def test_reused_across_blocks_of_any_n(self):
+        sizes = (200, 7, 1000, 1, 50)
+
+        def block(n):
+            return joined([mc._replicate_block(((0.5, n, 0.5, [1, 3 * n], 1), 5, 0, 70))])
+
+        def blocks():
+            values, kept = [], []
+            for n in sizes:
+                values.append(block(n))
+                kept.append(mc._thread.work)
+            return values, kept
+
+        values, kept = in_new_thread(blocks)
+        assert all(work is kept[0] for work in kept)
+        assert kept[0].size == mc.CHUNK
+        # each block alone in a fresh thread gives the same bits
+        assert values == [in_new_thread(lambda n=n: block(n)) for n in sizes]
+
+    def test_threads_keep_their_own(self):
+        # more threads than CPUs, switching often, each running blocks of
+        # several sizes: a set shared between threads would mix their rows
+        cells = [(0.5, n, 0.5, [1, 2 * n], k) for k, n in enumerate((20, 300, 3, 80) * 3)]
+        serial = [joined([mc._replicate_block((cell, 9, 0, 90))]) for cell in cells]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(mc._replicate_block, (cell, 9, 0, 90)) for cell in cells]
+                threaded = [joined([future.result(timeout=60)]) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_block_above_chunk_keeps_nothing(self):
+        n = mc.CHUNK + 1
+
+        def large_cell():
+            return run_cell(0.5, n, 0.5, rule_of_thumb_degree(n), reps=1, seed=1, workers=1)
+
+        def kept_after(small_first):
+            if small_first:
+                mc._replicate_block(((0.5, 50, 0.5, [13], 0), 1, 0, 10))
+            large_cell()
+            return getattr(mc._thread, "work", None)
+
+        assert in_new_thread(lambda: kept_after(False)) is None
+        work = in_new_thread(lambda: kept_after(True))
+        assert work.size == mc.CHUNK
+        assert work.draws.size == 2 * mc.CHUNK
+        assert max(work.flat.size, work.sorted.size, work.products.size) == mc.CHUNK
 
 
 def joined(blocks):
@@ -643,6 +713,33 @@ class TestBatchedChecks:
 
         monkeypatch.setattr(FgmModel, "from_uniforms", patched)
         with pytest.raises(RuntimeError) as info:  # one block of eight rows
+            run_cell(0.5, 20, 0.25, 7, reps=8, seed=1, workers=1)
+        cell = "simulation cell (theta=0.5, n=20, p=0.25) failed: "
+        assert str(info.value).startswith(cell + message)
+        assert type(info.value.__cause__) is cause
+
+    # the kernel checks sorted rows: a non-finite value anywhere in a row
+    # must still be seen, and the first margin's tie check runs on the
+    # sorted u that from_uniforms receives
+    @pytest.mark.parametrize(
+        "margin, bad, cause, message",
+        [
+            ("v", np.inf, ValueError, "sample contains non-finite values"),
+            ("v", -np.inf, ValueError, "sample contains non-finite values"),
+            ("u", "tie", TiesError, "duplicate values in the first margin"),
+        ],
+    )
+    def test_any_position_in_sorted_rows(self, monkeypatch, margin, bad, cause, message):
+        from_uniforms = FgmModel.from_uniforms
+
+        def patched(self, u, t):
+            v = from_uniforms(self, u, t)
+            rows = v if margin == "v" else u
+            rows[2, 9] = rows[2, 10] if bad == "tie" else bad
+            return v
+
+        monkeypatch.setattr(FgmModel, "from_uniforms", patched)
+        with pytest.raises(RuntimeError) as info:
             run_cell(0.5, 20, 0.25, 7, reps=8, seed=1, workers=1)
         cell = "simulation cell (theta=0.5, n=20, p=0.25) failed: "
         assert str(info.value).startswith(cell + message)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -189,6 +190,19 @@ class TestTailWeights:
     def test_suffix_sums_stored(self, p, m):
         tw = tail_weights(p, m)
         assert np.array_equal(tw.tail, np.cumsum(tw.w[::-1])[::-1])
+
+    def test_weights_bits_pinned(self):
+        # the bits of every weight vector, which every simulated number
+        # depends on, as they were before the pmf's normalising fsum read a
+        # list instead of the array (fsum is correctly rounded, so the order
+        # and container of its terms change nothing)
+        digest = hashlib.sha256()
+        for p in (0.1, 0.5, 0.9):
+            for m in [*range(1, 61), 1000, 3419]:
+                digest.update(tail_weights(p, m).w.tobytes())
+        assert digest.hexdigest() == (
+            "364184b3004783ee7ae1551729665ef3aec97c24bfe12260b34f50c19b244ca4"
+        )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
