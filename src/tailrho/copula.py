@@ -1,10 +1,10 @@
 """Rank transforms: pseudo-observations and a ties policy.
 
 All types are immutable once built and all operations are pure, so everything
-here can be shared freely across threads.  The ranking and its checks work
-along the last axis, so the Monte Carlo engine ranks a whole chunk of
-replicate samples in one call with exactly the checks `pseudo_observations`
-applies to one sample.
+here can be shared freely across threads.  `_check_sorted` is the one
+definition of a sample's checks (finite values, no ties), made on its margins
+sorted ascending: `pseudo_observations` applies it to one sample, and the
+Monte Carlo engine to each replicate row of a kernel chunk.
 """
 
 from __future__ import annotations
@@ -46,35 +46,28 @@ class PseudoSample:
         return self.u.size
 
 
-def _ranks(values: np.ndarray, label: str) -> np.ndarray:
-    """Integer ranks 1..n along the last axis; TiesError if any row ties.
-
-    A row that passes the tie check has distinct values, so exactly one
-    permutation sorts it and any sort gives the same ranks; the default
-    (unstable) sort is several times faster than a stable one.  A tied row
-    still sorts its equal values next to each other, so the check sees them.
-    """
-    order = np.argsort(values, axis=-1)
-    sorted_vals = np.take_along_axis(values, order, axis=-1)
-    if np.any(sorted_vals[..., 1:] == sorted_vals[..., :-1]):
-        raise TiesError(
-            f"duplicate values in the {label} margin; ranks are undefined "
-            "(continuous data expected; consider jittering)"
-        )
-    ranks = np.empty(values.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, values.shape[-1] + 1), axis=-1)
-    return ranks
-
-
-def _margin_ranks(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of both margins along the last axis, each row on its own.
-
-    Works on one sample (shape (n,)) or a stack of them (shape (k, n)), with
-    the same checks: ValueError for a non-finite value, TiesError for a tie.
-    """
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+def _check_sorted(x: np.ndarray, y: np.ndarray) -> None:
+    """A sample's checks, on both margins sorted ascending along the last
+    axis (one sample, or one replicate per row).  A sort puts any -inf
+    first and any +inf or NaN last, and equal values next to each other, so
+    a row's end values and its neighbours decide: ValueError if an end value
+    is not finite, else TiesError for a tie in the first margin, then in the
+    second."""
+    if not (np.isfinite(x[..., [0, -1]]).all() and np.isfinite(y[..., [0, -1]]).all()):
         raise ValueError("sample contains non-finite values")
-    return _ranks(x, "first"), _ranks(y, "second")
+    for rows, label in ((x, "first"), (y, "second")):
+        if np.any(rows[..., 1:] == rows[..., :-1]):
+            raise TiesError(
+                f"duplicate values in the {label} margin; ranks are undefined "
+                "(continuous data expected; consider jittering)"
+            )
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """Integer ranks 1..n of the values that `order` sorts ascending."""
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.arange(1, order.size + 1)
+    return ranks
 
 
 def pseudo_observations(x, y, denominator: str = "n") -> PseudoSample:
@@ -98,7 +91,12 @@ def pseudo_observations(x, y, denominator: str = "n") -> PseudoSample:
         d = x.size + 1
     else:
         raise ValueError(f"denominator must be 'n' or 'n+1', got {denominator!r}")
-    rx, ry = _margin_ranks(x, y)
+    # A sample that passes the checks has distinct values, so exactly one
+    # permutation sorts each margin and any sort gives the same ranks; the
+    # default (unstable) sort is several times faster than a stable one.
+    order_x, order_y = np.argsort(x), np.argsort(y)
+    _check_sorted(x[order_x], y[order_y])
+    rx, ry = _ranks(order_x), _ranks(order_y)
     u = rx / d
     v = ry / d
     for arr in (u, v, rx, ry):
@@ -107,7 +105,8 @@ def pseudo_observations(x, y, denominator: str = "n") -> PseudoSample:
 
 
 def jitter_margin(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Break ties by adding uniform noise of half the smallest nonzero gap.
+    """Break ties by adding uniform noise of half the smallest nonzero gap,
+    or of max(1, max|v|) for a constant margin.
 
     Strictly ordered pairs keep their order; tied values become distinct
     almost surely.  Deterministic for a fixed generator state.
@@ -115,5 +114,7 @@ def jitter_margin(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     values = np.asarray(values, dtype=float).ravel()
     gaps = np.diff(np.sort(values))
     positive = gaps[gaps > 0]
-    eps = 0.5 * positive.min() if positive.size else 1.0
+    # A constant margin's noise must be wider than its values' spacing, about
+    # 2^-52 |v|: at 1e20 a width of 1 would change nothing.
+    eps = 0.5 * positive.min() if positive.size else max(1.0, np.abs(values).max())
     return values + rng.uniform(0.0, eps, size=values.size)

@@ -11,7 +11,7 @@ is by definition the (m+1)^2 copula grid contracted on both axes with the
 tail weights; because the grid counts pairs, that collapses to
 a(r) = tail[ceil(r*m/d)], the weights' suffix sums at each rank's lattice
 index.  A table costs O(d + m), and one table serves every sample of a size;
-`rank_integral` takes one sample's ranks or a stack of samples' ranks.
+`rank_integral` evaluates the statistic on one sample's ranks.
 """
 
 from __future__ import annotations
@@ -82,18 +82,16 @@ def bernstein_scores(weights: TailWeights, d: int) -> np.ndarray:
     return weights.tail[-((-np.arange(d + 1) * weights.m) // d)]
 
 
-def rank_integral(ranks_x: np.ndarray, ranks_y: np.ndarray, scores: np.ndarray):
-    """The corner integral (1/n) * sum_i scores[R_i] * scores[S_i] of each
-    row of integer ranks of shape (..., n): a float array of shape (...).
+def rank_integral(ranks_x: np.ndarray, ranks_y: np.ndarray, scores: np.ndarray) -> float:
+    """The corner integral (1/n) * sum_i scores[R_i] * scores[S_i] of one
+    sample's integer ranks.
 
-    Every row's sum is numpy's pairwise summation of its n products, in this
-    thread and without BLAS, so a row's value depends neither on how many
-    rows are stacked with it nor on the BLAS thread count.  (A BLAS dot
-    splits long rows over threads; `einsum` splits rows longer than its
-    8192-element buffer differently for a stack than for one row.)
+    The sum is numpy's pairwise summation of the n products, in this thread
+    and without BLAS, so its value does not depend on the BLAS thread count
+    (a BLAS dot splits long vectors over threads).
     """
     products = scores[ranks_x] * scores[ranks_y]
-    return products.sum(axis=-1) / ranks_x.shape[-1]
+    return float(products.sum() / ranks_x.size)
 
 
 def tail_rho(integral, p: float):
@@ -104,7 +102,7 @@ def tail_rho(integral, p: float):
 def _finish(
     ps: PseudoSample, scores: np.ndarray, p: float, method: str, m: int | None
 ) -> TailRhoResult:
-    integral = float(rank_integral(ps.ranks_x, ps.ranks_y, scores))
+    integral = rank_integral(ps.ranks_x, ps.ranks_y, scores)
     return TailRhoResult(p, method, m, tail_rho(integral, p), integral)
 
 

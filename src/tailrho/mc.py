@@ -24,10 +24,11 @@ chunk's uniforms with one draw per stream chunk it meets; a stream chunk
 longer than a kernel chunk carries its generator on to the next one.  The
 kernel works on chunks of at most max(1, CHUNK // n) replicates at once,
 over (rows, n) arrays: it sorts the rows of u in place, so the first
-margin's ranks are 1..n and its tie check compares neighbours; inverts;
-orders each row of v with one argsort; and then pays one gather per score
-table (see `_rank_sums`).  The chunk bounds memory to O(CHUNK) floats per
-array plus one degree's tail weights.  Each thread keeps one set of work
+margin's ranks are 1..n; inverts; orders each row of v with one argsort;
+checks both sorted margins with `pseudo_observations`' own checks
+(`copula._check_sorted`); and then pays one gather per score table (see
+`_rank_sums`).  The chunk bounds memory to O(CHUNK) floats per array plus
+one degree's tail weights.  Each thread keeps one set of work
 arrays (the draws, v's flat sort indices, the sorted v and one table's
 products, with room for CHUNK values each) for all its later chunks,
 blocks and jobs; a block with n > CHUNK allocates its own and drops it.
@@ -51,13 +52,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asympt import rule_of_thumb_degree
-from .copula import TiesError
+from .copula import _check_sorted
 from .estimators import P_MIN, bernstein_scores, empirical_scores, tail_rho
 from .fgm import FgmModel
 from .special import MAX_DEGREE, tail_weights
@@ -217,6 +217,9 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
         return [fn(task) for task in tasks]
+    # imported here: loading multiprocessing costs every command line start
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
@@ -252,7 +255,7 @@ def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
     generator carries over into the next kernel chunk.  Each row of u is
     sorted in place, so its ranks are 1..n, and v = from_uniforms(u, t).
     One argsort of v per chunk orders each replicate's pairs by v; the
-    sorted v gets the finite and tie checks, and each score table T
+    sorted u and v get `pseudo_observations`' checks, and each score table T
     (empirical, then one per requested degree, built one at a time from
     its tail weights) costs one gather: the corner integral is
     (1/n) * sum_k T[order_k + 1] * T[k + 1], summed in increasing v.  This
@@ -330,26 +333,11 @@ def _work_arrays(size: int) -> _WorkArrays:
     return work
 
 
-def _check_sorted(u: np.ndarray, sorted_v: np.ndarray) -> None:
-    """The checks `pseudo_observations` makes, on the rows of both margins
-    sorted ascending, where equal values sit next to each other.  The u are
-    the generator's uniforms in [0, 1); a sort puts any -inf of v first and
-    any +inf or NaN last."""
-    if not np.isfinite(sorted_v[:, [0, -1]]).all():
-        raise ValueError("sample contains non-finite values")
-    for rows, label in ((u, "first"), (sorted_v, "second")):
-        if np.any(rows[:, 1:] == rows[:, :-1]):
-            raise TiesError(
-                f"duplicate values in the {label} margin; ranks are undefined "
-                "(continuous data expected; consider jittering)"
-            )
-
-
 def _rank_sums(scores: np.ndarray, order: np.ndarray, products: np.ndarray) -> np.ndarray:
     """(1/n) * sum_k scores[order_k + 1] * scores[k + 1] of each row of
-    `order` (shape (rows, n)), through `products`: `rank_integral` of the
-    ranks (order + 1, 1..n).  Each row's sum is numpy's pairwise summation
-    of its n products, with no BLAS."""
+    `order` (shape (rows, n)), through `products`: a row's value is
+    `rank_integral` of its ranks (order + 1, 1..n).  Each row's sum is
+    numpy's pairwise summation of its n products, with no BLAS."""
     n = order.shape[-1]
     np.take(scores[1:], order, out=products, mode="clip")
     products *= scores[1 : n + 1]

@@ -14,7 +14,6 @@ from tailrho import (
     pseudo_observations,
     rule_of_thumb_degree,
 )
-from tailrho.copula import _margin_ranks
 from tailrho.estimators import bernstein_scores
 from definitions import bernstein_copula, copula_grid, empirical_copula, kernel_vector
 
@@ -95,8 +94,8 @@ def stable_ranks(values):
 
 @st.composite
 def distinct_rows(draw, min_n=1):
-    """A (k, n) pair of margins, every value distinct; wide floats, or small
-    integers so that neighbouring ranks are one apart."""
+    """A (k, n) pair of margins, k samples of n pairs, every value distinct;
+    wide floats, or small integers so that neighbouring ranks are one apart."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(min_n, 30))
     elements = draw(st.sampled_from([
@@ -107,16 +106,16 @@ def distinct_rows(draw, min_n=1):
 
 
 class TestRankProperties:
-    """Ranks sort without a stable sort: a row that passes the checks has
-    one sorting permutation, and a failing row still fails."""
+    """Ranks sort without a stable sort: a sample that passes the checks has
+    one sorting permutation, and a failing sample still fails."""
 
     @given(rows=distinct_rows())
     @settings(max_examples=60)
     def test_equal_stable_ranks(self, rows):
-        x, y = rows
-        rx, ry = _margin_ranks(x, y)
-        np.testing.assert_array_equal(rx, stable_ranks(x))
-        np.testing.assert_array_equal(ry, stable_ranks(y))
+        for x, y in zip(*rows):
+            ps = pseudo_observations(x, y)
+            np.testing.assert_array_equal(ps.ranks_x, stable_ranks(x))
+            np.testing.assert_array_equal(ps.ranks_y, stable_ranks(y))
 
     @given(rows=distinct_rows(min_n=2), data=st.data())
     @settings(max_examples=60)
@@ -127,18 +126,27 @@ class TestRankProperties:
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         rows[margin][row, j] = rows[margin][row, i]
         label = ["first", "second"][margin]
-        with pytest.raises(TiesError, match=f"duplicate values in the {label} margin"):
-            _margin_ranks(*rows)
+        for r, (x, y) in enumerate(zip(*rows)):
+            if r != row:
+                pseudo_observations(x, y)
+                continue
+            with pytest.raises(TiesError, match=f"duplicate values in the {label} margin"):
+                pseudo_observations(x, y)
 
     @given(rows=distinct_rows(), data=st.data())
     @settings(max_examples=30)
     def test_nan_anywhere_raises(self, rows, data):
         k, n = rows[0].shape
         margin = data.draw(st.sampled_from([0, 1]))
-        rows[margin][data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1))] = np.nan
-        with pytest.raises(ValueError, match="sample contains non-finite values") as info:
-            _margin_ranks(*rows)
-        assert not isinstance(info.value, TiesError)
+        row = data.draw(st.integers(0, k - 1))
+        rows[margin][row, data.draw(st.integers(0, n - 1))] = np.nan
+        for r, (x, y) in enumerate(zip(*rows)):
+            if r != row:
+                pseudo_observations(x, y)
+                continue
+            with pytest.raises(ValueError, match="sample contains non-finite values") as info:
+                pseudo_observations(x, y)
+            assert not isinstance(info.value, TiesError)
 
 
 class TestJitter:
@@ -152,8 +160,10 @@ class TestJitter:
         np.testing.assert_array_equal(out, out2)
 
     def test_all_equal_margin(self):
-        out = jitter_margin(np.full(5, 7.0), np.random.default_rng(1))
-        assert np.unique(out).size == 5
+        # at 1e20 floats are 16384 apart, so noise of width 1 would change nothing
+        for value in (7.0, 1e20):
+            out = jitter_margin(np.full(5, value), np.random.default_rng(1))
+            assert np.unique(out).size == 5
 
 
 class TestEmpiricalCopula:

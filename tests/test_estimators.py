@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -211,7 +212,9 @@ class TestRankScoreForm:
         assert abs(got - grid_integral(ps, p, m)) <= 2e-15
 
 
-# Eight n = 200000 samples: both integrals of each, as float.hex.
+# Eight n = 200000 samples: both integrals of each, as float.hex.  The
+# SHA-256 of its output pins the rank path's bits, summation order included.
+BLAS_DIGEST = "9fa9044b0badc9c5882b2b6fd378a699ebb634d98cf65ee6aadb0992aa6f1ebb"
 BLAS_SCRIPT = """
 import numpy as np
 from tailrho import FgmModel, pseudo_observations, rho_hat_bernstein, rho_hat_empirical
@@ -242,3 +245,4 @@ class TestBlasThreads:
             outputs.append(proc.stdout)
         assert len(outputs[0].split()) == 16
         assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[0].encode()).hexdigest() == BLAS_DIGEST

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -313,7 +314,7 @@ class TestPoolCap:
         however small; yields the record."""
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "started", [])
         return RecordingExecutor.started
 
@@ -677,7 +678,7 @@ class TestStreams:
         # for this small job
         monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "started", [])
         wide = mc._simulate(grid, 300, 5, workers)
         assert RecordingExecutor.started == [workers]
@@ -744,3 +745,54 @@ class TestBatchedChecks:
         cell = "simulation cell (theta=0.5, n=20, p=0.25) failed: "
         assert str(info.value).startswith(cell + message)
         assert type(info.value.__cause__) is cause
+
+
+NON_FINITE = "sample contains non-finite values"
+FIRST_TIE = "duplicate values in the first margin"
+SECOND_TIE = "duplicate values in the second margin"
+
+# Defective samples of n = 20 pairs: (margin, position, value) edits, then
+# the error that must win.  A "tie" copies the value one position before.
+# The first margin's edits keep it sorted, as the kernel's first margin is.
+DEFECTS = {
+    **{
+        f"{value} at {where}": ([(1, position, value)], ValueError, NON_FINITE)
+        for value in (np.nan, np.inf, -np.inf)
+        for where, position in (("start", 0), ("middle", 10), ("end", 19))
+    },
+    "-inf first": ([(0, 0, -np.inf)], ValueError, NON_FINITE),
+    "nan last": ([(0, 19, np.nan)], ValueError, NON_FINITE),
+    "tie in first": ([(0, 10, "tie")], TiesError, FIRST_TIE),
+    "tie in second": ([(1, 10, "tie")], TiesError, SECOND_TIE),
+    "ties in both": ([(1, 5, "tie"), (0, 10, "tie")], TiesError, FIRST_TIE),
+    "tie and nan": ([(0, 10, "tie"), (1, 5, np.nan)], ValueError, NON_FINITE),
+}
+
+
+class TestOneCheck:
+    """pseudo_observations and the kernel make one check: each defective
+    sample fails both with the same error, and the same fault wins."""
+
+    @pytest.mark.parametrize("edits, cause, message", DEFECTS.values(), ids=DEFECTS)
+    def test_both_paths_agree(self, monkeypatch, edits, cause, message):
+        samples = []
+        from_uniforms = FgmModel.from_uniforms
+
+        def patched(self, u, t):
+            v = from_uniforms(self, u, t)
+            for margin, position, value in edits:
+                row = (u, v)[margin][-1]  # the chunk's last replicate
+                row[position] = row[position - 1] if value == "tie" else value
+            samples.append((u[-1].copy(), v[-1].copy()))
+            return v
+
+        monkeypatch.setattr(FgmModel, "from_uniforms", patched)
+        with pytest.raises(RuntimeError) as kernel:  # one chunk of eight rows
+            run_cell(0.5, 20, 0.25, 7, reps=8, seed=1, workers=1)
+        [(x, y)] = samples
+        with pytest.raises(ValueError) as direct:
+            pseudo_observations(x, y, "n+1")
+        cell = "simulation cell (theta=0.5, n=20, p=0.25) failed: "
+        assert str(kernel.value) == cell + str(direct.value)
+        assert type(kernel.value.__cause__) is type(direct.value) is cause
+        assert str(direct.value).startswith(message)

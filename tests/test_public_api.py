@@ -87,8 +87,10 @@ def test_benchmark_imports_resolve():
 
 
 def test_cli_import_leaves_scipy_out():
-    """scipy is a test-only dependency: the command line never loads it."""
-    code = "import sys, tailrho.cli; print('scipy' in sys.modules)"
+    """scipy is a test-only dependency: the command line never loads it.  Nor
+    does it load the process pool's modules before a job needs a pool."""
+    unloaded = ("scipy", "concurrent.futures.process", "multiprocessing")
+    code = f"import sys, tailrho.cli; print([m in sys.modules for m in {unloaded!r}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"
