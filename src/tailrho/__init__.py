@@ -14,7 +14,6 @@ from .asympt import (
     MseExpansion,
     asymptotic_report,
     bias_coeff,
-    mse_expansions,
     normalized_tail_integral,
     optimal_degree,
     rule_of_thumb_degree,
@@ -51,7 +50,6 @@ __all__ = [
     "bias_coeff",
     "degree_sweep",
     "jitter_margin",
-    "mse_expansions",
     "normalized_tail_integral",
     "normalizer",
     "optimal_degree",

@@ -6,17 +6,16 @@ MSE expansions.
 
 Smoothing a degree-m Bernstein copula trades a deterministic bias of order
 1/m against a variance reduction of order 1/(n*sqrt(m)); balancing the two
-leading terms gives a degree proportional to n^(2/3).  `asymptotic_report`,
-`optimal_degree`, `mse_expansions` and the `asympt` command all read the
-report built by `_asymptotic_report`, the one place those quantities are
-computed.
+leading terms gives a degree proportional to n^(2/3).  `asymptotic_report`
+is the one place those quantities are computed; `optimal_degree` and the
+`asympt` command read its report, and `report.expansion(m)` gives the MSE
+expansions at any degree m.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "normalized_tail_integral",
     "rule_of_thumb_degree",
     "optimal_degree",
-    "mse_expansions",
     "asymptotic_report",
 ]
 
@@ -127,6 +125,7 @@ class AsymptoticReport:
     the bias and variance-gain coefficients; limit_variance is the model's
     sigma^2 of the root-n empirical estimator; m_opt is None when the bias
     term is degenerate, and `degree` then falls back to the rule of thumb.
+    `expansion(degree)` holds both estimators' MSE expansions at that degree.
     """
 
     p: float
@@ -151,19 +150,12 @@ class AsymptoticReport:
         base = self.limit_variance / self.n
         return MseExpansion(difference, base + difference, base)
 
-    @property
-    def mse_bernstein_expansion(self) -> float:
-        return self.expansion(self.degree).mse_bernstein
 
-    @property
-    def mse_empirical_expansion(self) -> float:
-        return self.expansion(self.degree).mse_empirical
-
-
-def _asymptotic_report(model, p: float, n: int) -> AsymptoticReport:
+def asymptotic_report(model, p: float, n: int) -> AsymptoticReport:
     """The one computation of the corner integrals (B, V), the model's limit
     variance and the MSE-balancing degree m_opt = {4 B^2 / V * n}^(2/3),
-    None when B vanishes.
+    None when B vanishes (independence); the rule-of-thumb degree is always
+    reported as the practical fallback.
 
     Checks n before p, so the command line reports a bad n first; an n that
     m_opt cannot take as a float, or that makes it overflow, is a bad n.
@@ -189,30 +181,10 @@ def optimal_degree(model, p: float, n: int) -> float:
     use.  Raises DegenerateBiasError when the bias term vanishes (independence)
     and every degree large enough is asymptotically fine.
     """
-    m_opt = _asymptotic_report(model, p, n).m_opt
+    m_opt = asymptotic_report(model, p, n).m_opt
     if m_opt is None:
         raise DegenerateBiasError(
             "leading bias term vanishes; fall back to the n^(2/3) rule of thumb"
         )
     return m_opt
 
-
-def mse_expansions(model, p: float, n: int, m: int) -> MseExpansion:
-    """First-order MSE of both estimators at sample size n and degree m; see
-    `AsymptoticReport.expansion`."""
-    return _asymptotic_report(model, p, n).expansion(m)
-
-
-def asymptotic_report(model, p: float, n: int) -> AsymptoticReport:
-    """Assemble the expansion quantities for one setting.
-
-    Degenerate bias (independence) produces m_opt = None with a warning; the
-    rule-of-thumb degree is always reported as the practical fallback.
-    """
-    report = _asymptotic_report(model, p, n)
-    if report.m_opt is None:
-        warnings.warn(
-            "leading bias term vanishes; using the n^(2/3) rule of thumb",
-            stacklevel=2,
-        )
-    return report

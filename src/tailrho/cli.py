@@ -24,11 +24,11 @@ import warnings
 import numpy as np
 
 from . import mc
-from .asympt import _asymptotic_report, rule_of_thumb_degree
+from .asympt import asymptotic_report, rule_of_thumb_degree
 from .copula import TiesError, jitter_margin, pseudo_observations
-from .estimators import P_MIN, rho_hat_bernstein, rho_hat_empirical
+from .estimators import _check_p, rho_hat_bernstein, rho_hat_empirical
 from .fgm import FgmModel
-from .special import MAX_DEGREE
+from .special import _check_degree
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -204,10 +204,9 @@ def _write_csv(out: str, rows: list[mc.CellSummary], header: str, noun: str) -> 
 
 
 def cmd_estimate(args) -> None:
-    if not P_MIN < args.p <= 1.0:
-        raise ValueError(f"threshold p={args.p} outside ({P_MIN:g}, 1]")
-    if args.degree != "rule_of_thumb" and not 1 <= args.degree <= MAX_DEGREE:
-        raise ValueError(f"degree m={args.degree} outside 1..{MAX_DEGREE}")
+    _check_p(args.p)
+    if args.degree != "rule_of_thumb":
+        _check_degree(args.degree)
     _check_out(args.out)
     x, y = load_pairs(args.input)
     if args.jitter:
@@ -256,7 +255,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_asympt(args) -> None:
     model = FgmModel(args.theta)
-    report = _asymptotic_report(model, args.p, args.n)
+    report = asymptotic_report(model, args.p, args.n)
     # for this family the bias coefficient integrates to -2 * tail rho
     bias_closed = -2.0 * model.rho_tail_analytic(args.p)
     print(f"theta = {_fmt(args.theta)}")
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--jitter",
         action="store_true",
-        help="break ties with seeded uniform noise of half the smallest gap",
+        help="break ties at random, by one seeded uniform draw per value",
     )
     est.add_argument("--out", default=None, help="also write the report to this file")
     est.set_defaults(func=cmd_estimate)

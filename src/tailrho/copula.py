@@ -105,16 +105,12 @@ def pseudo_observations(x, y, denominator: str = "n") -> PseudoSample:
 
 
 def jitter_margin(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Break ties by adding uniform noise of half the smallest nonzero gap,
-    or of max(1, max|v|) for a constant margin.
-
-    Strictly ordered pairs keep their order; tied values become distinct
-    almost surely.  Deterministic for a fixed generator state.
+    """Break ties at random: each value's position 0..n-1, as a float, in
+    the order of (value, one uniform draw per value).  Non-finite values
+    come back as they are, for `pseudo_observations` to refuse.
+    Deterministic for a fixed generator state.
     """
     values = np.asarray(values, dtype=float).ravel()
-    gaps = np.diff(np.sort(values))
-    positive = gaps[gaps > 0]
-    # A constant margin's noise must be wider than its values' spacing, about
-    # 2^-52 |v|: at 1e20 a width of 1 would change nothing.
-    eps = 0.5 * positive.min() if positive.size else max(1.0, np.abs(values).max())
-    return values + rng.uniform(0.0, eps, size=values.size)
+    positions = np.empty(values.size)
+    positions[np.lexsort((rng.random(values.size), values))] = np.arange(values.size)
+    return np.where(np.isfinite(values), positions, values)

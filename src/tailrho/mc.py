@@ -58,9 +58,9 @@ import numpy as np
 
 from .asympt import rule_of_thumb_degree
 from .copula import _check_sorted
-from .estimators import P_MIN, bernstein_scores, empirical_scores, tail_rho
+from .estimators import bernstein_scores, empirical_scores, tail_rho
 from .fgm import FgmModel
-from .special import MAX_DEGREE, tail_weights
+from .special import MAX_DEGREE, _check_degree, tail_weights
 
 __all__ = [
     "DEFAULT_REPS",
@@ -143,19 +143,15 @@ class ExperimentConfig:
         object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
         if not self.thetas or not self.ns or not self.ps:
             raise ValueError("thetas, ns and ps must all be nonempty")
-        if not all(abs(t) <= 1.0 for t in self.thetas):  # NaN fails too
-            raise ValueError("every theta must lie in [-1, 1]")
-        if any(not 1 <= n <= MAX_N for n in self.ns):
-            raise ValueError(f"every sample size must be >= 1 and <= {MAX_N}")
-        if any(not P_MIN < p <= 1.0 for p in self.ps):
-            raise ValueError(f"every threshold must lie in ({P_MIN:g}, 1]")
+        for cell in self.cells():
+            _true_rho(*cell)
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
         if isinstance(self.degree_rule, str):
             if self.degree_rule != "rule_of_thumb":
                 raise ValueError(f"unknown degree rule {self.degree_rule!r}")
-        elif not 1 <= self.degree_rule <= MAX_DEGREE:
-            raise ValueError(f"fixed degree {self.degree_rule} outside 1..{MAX_DEGREE}")
+        else:
+            _check_degree(self.degree_rule)
 
     def degree_for(self, n: int) -> int:
         if self.degree_rule == "rule_of_thumb":

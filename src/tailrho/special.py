@@ -76,6 +76,11 @@ def _binom_pmf(n_trials: int, prob: float) -> np.ndarray:
     return out / math.fsum(out.tolist())
 
 
+def _check_degree(m: int) -> None:
+    if not 1 <= m <= MAX_DEGREE:
+        raise ValueError(f"degree m={m} outside 1..{MAX_DEGREE}")
+
+
 def tail_weights(p: float, m: int) -> TailWeights:
     """Weight vector w_k = C(m,k) * ibeta(p, k+1, m-k+1), k = 0..m.
 
@@ -87,8 +92,7 @@ def tail_weights(p: float, m: int) -> TailWeights:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"threshold p={p} outside (0, 1]")
-    if not 1 <= m <= MAX_DEGREE:
-        raise ValueError(f"degree m={m} outside 1..{MAX_DEGREE}")
+    _check_degree(m)
     if p == 1.0:
         w = np.full(m + 1, 1.0 / (m + 1))
     else:

@@ -10,7 +10,6 @@ from tailrho import (
     FgmModel,
     asymptotic_report,
     bias_coeff,
-    mse_expansions,
     normalized_tail_integral,
     normalizer,
     optimal_degree,
@@ -205,13 +204,13 @@ class TestMseExpansions:
         )
         gain_term = normalized_tail_integral(lambda u, v: var_gain(model, u, v), p)
         expect = -gain_term / (n * math.sqrt(m)) + (bias_term / m) ** 2
-        got = mse_expansions(model, p, n, m)
+        got = asymptotic_report(model, p, n).expansion(m)
         assert got.difference == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_difference_vanishes_for_large_degree(self):
         model = FgmModel(1.0)
         diffs = [
-            abs(mse_expansions(model, 1.0, 50, m).difference)
+            abs(asymptotic_report(model, 1.0, 50).expansion(m).difference)
             for m in (100, 10_000, 10**8, 10**14)
         ]
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
@@ -221,13 +220,13 @@ class TestMseExpansions:
         model = FgmModel(0.0)
         for p in PS:
             for m in (1, 13, 64):
-                assert mse_expansions(model, p, 50, m).difference < 0.0
+                assert asymptotic_report(model, p, 50).expansion(m).difference < 0.0
 
     def test_absolute_expansions_with_limit_variance(self):
         # sigma^2/n and sigma^2/n + difference, sigma^2 the model's closed form
         for theta, p in ((0.5, 0.5), (-1.0, 0.1), (0.0, 1.0)):
             model = FgmModel(theta)
-            exp = mse_expansions(model, p, 100, 20)
+            exp = asymptotic_report(model, p, 100).expansion(20)
             base = model.limit_variance(p) / 100
             assert exp.mse_empirical == base
             assert exp.mse_bernstein == base + exp.difference
@@ -240,11 +239,11 @@ class TestAsymptoticReport:
         assert report.rule_degree == 34
         assert report.m_opt is not None and report.m_opt > 0
         assert report.limit_variance == FgmModel(1.0).limit_variance(1.0) == 34 / 45
-        assert report.mse_empirical_expansion == report.limit_variance / 200
+        assert report.expansion(report.degree).mse_empirical == report.limit_variance / 200
 
-    def test_degenerate_setting_warns(self):
-        with pytest.warns(UserWarning):
-            report = asymptotic_report(FgmModel(0.0), 0.5, 50)
+    def test_degenerate_setting_does_not_warn(self):
+        # m_opt = None says it; filterwarnings = error fails on any warning
+        report = asymptotic_report(FgmModel(0.0), 0.5, 50)
         assert report.m_opt is None
         assert report.rule_degree == 13
 
@@ -253,18 +252,17 @@ class TestAsymptoticReport:
         report = asymptotic_report(model, p, n)
         assert report.m_opt == optimal_degree(model, p, n)
         assert report.degree == math.floor(report.m_opt) == 15
-        at_degree = mse_expansions(model, p, n, report.degree)
+        at_degree = asymptotic_report(model, p, n).expansion(report.degree)
         assert report.expansion(report.degree) == at_degree
         sigma2 = model.limit_variance(p)
-        assert report.mse_bernstein_expansion == at_degree.mse_bernstein
+        assert report.expansion(report.degree).mse_bernstein == at_degree.mse_bernstein
         assert at_degree.mse_bernstein == sigma2 / n + at_degree.difference
-        assert report.mse_empirical_expansion == at_degree.mse_empirical == sigma2 / n
+        assert report.expansion(report.degree).mse_empirical == at_degree.mse_empirical == sigma2 / n
         with pytest.raises(ValueError, match="degree m=0"):
             report.expansion(0)
 
     def test_degenerate_degree_is_rule_of_thumb(self):
-        with pytest.warns(UserWarning):
-            report = asymptotic_report(FgmModel(0.0), 0.5, 100)
+        report = asymptotic_report(FgmModel(0.0), 0.5, 100)
         assert report.degree == report.rule_degree == 21
 
     def test_optimal_degree_raises_without_warning(self):

@@ -77,6 +77,12 @@ class TestEstimate:
         code = main(["estimate", "--input", path, "--p", "0.9", "--jitter"])
         assert code == 0
 
+    def test_jitter_resolves_ties_one_float_spacing_apart(self, tmp_path, capsys):
+        path = write_file(tmp_path / "t.csv", "1,1\n1,2\n1.0000000000000002,3\n")
+        code = main(["estimate", "--input", path, "--p", "0.5", "--jitter"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = write_file(tmp_path / "bad.csv", "1,1\n2,oops\n")
         code = main(["estimate", "--input", path, "--p", "0.5"])
@@ -710,6 +716,36 @@ class TestFailFast:
         assert message in one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "flag, value, commands, message",
+    [
+        ("--theta", "2", ("simulate", "sweep"), "theta=2.0 outside [-1, 1]"),
+        ("--n", "0", ("simulate", "sweep"), "sample size n=0 must be >= 1 and <= 10000000"),
+        ("--p", "2", ("simulate", "sweep", "estimate"), "threshold p=2.0 outside (1e-06, 1]"),
+        ("--degree", "0", ("simulate", "estimate"), "degree m=0 outside 1..100000"),
+        ("--reps", "0", ("simulate", "sweep"), "reps must be >= 1, got 0"),
+    ],
+    ids=["theta", "n", "p", "degree", "reps"],
+)
+def test_one_error_line_per_fault(comonotone_file, tmp_path, capsys, flag, value, commands, message):
+    """Every command that takes a bad value words it the same way."""
+    base = {
+        "simulate": SIMULATE,
+        "sweep": SWEEP,
+        "estimate": ["estimate", "--input", comonotone_file, "--p", "0.5"],
+    }
+    for command in commands:
+        argv = list(base[command])
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        out = tmp_path / f"{command}.out"
+        assert main(argv + ["--out", str(out)]) == 2, command
+        assert one_error_line(capsys) == f"error: {message}\n", command
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [SIMULATE, ["estimate", "--input", "f", "--p", "0.5"]])
 @pytest.mark.parametrize("degree", [[], ["--degree", "rule"], ["--degree", "rule_of_thumb"]])
 def test_degree_rule_spelling(command, degree):
@@ -741,7 +777,7 @@ class TestWorkerFailure:
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["asympt", "--theta", "0.5", "--p", "0.1", "--n", "200"], "_asymptotic_report"),
+        (["asympt", "--theta", "0.5", "--p", "0.1", "--n", "200"], "asymptotic_report"),
         (["estimate", "--p", "1.0"], "rho_hat_bernstein"),
     ],
 )

@@ -165,6 +165,14 @@ class TestJitter:
             out = jitter_margin(np.full(5, value), np.random.default_rng(1))
             assert np.unique(out).size == 5
 
+    def test_gap_of_one_float_spacing(self):
+        # the tie and the value above it are one float spacing apart
+        for low in (1.0, 1e20):
+            values = np.array([low, low, np.nextafter(low, np.inf)])
+            out = jitter_margin(values, np.random.default_rng(0))
+            assert np.unique(out).size == 3
+            assert max(out[:2]) < out[2]
+
 
 class TestEmpiricalCopula:
     def test_two_point_center(self):

@@ -33,7 +33,6 @@ PUBLIC = {
     "bias_coeff",
     "degree_sweep",
     "jitter_margin",
-    "mse_expansions",
     "normalized_tail_integral",
     "normalizer",
     "optimal_degree",
