@@ -19,28 +19,28 @@ written as products, so the C library's `pow` plays no part either.  STREAM
 and the recipe are part of the numbers, not tuning knobs: changing either
 changes every result.
 
-A replicate block starts at a multiple of STREAM and fills each kernel
-chunk's uniforms with one draw per stream chunk it meets; a stream chunk
-longer than a kernel chunk carries its generator on to the next one.  The
-kernel works on chunks of at most max(1, CHUNK // n) replicates at once,
-over (rows, n) arrays: it sorts the rows of u in place, so the first
-margin's ranks are 1..n; inverts; orders each row of v with one argsort;
-checks both sorted margins with `pseudo_observations`' own checks
-(`copula._check_sorted`); and then pays one gather per score table (see
-`_rank_sums`).  The chunk bounds memory to O(CHUNK) floats per array plus
-one degree's tail weights.  Each thread keeps one set of work
-arrays (the draws, v's flat sort indices, the sorted v and one table's
-products, with room for CHUNK values each) for all its later chunks,
-blocks and jobs; a block with n > CHUNK allocates its own and drops it.
+A job builds each cell's score tables once, before any block runs (see
+`_score_tables`).  A replicate block starts at a multiple of STREAM and
+fills each kernel chunk's uniforms with one draw per stream chunk it meets;
+a stream chunk longer than a kernel chunk carries its generator on to the
+next one.  The kernel works on chunks of at most max(1, CHUNK // n)
+replicates at once, over (rows, n) arrays: it sorts the rows of u in place,
+so the first margin's ranks are 1..n; inverts; orders each row of v with
+one argsort; checks both sorted margins with `pseudo_observations`' own
+checks (`copula._check_sorted`); and then pays one gather per score table
+(see `_rank_sums`).  The chunk bounds each work array to O(CHUNK) floats.
+Each thread keeps one set of work arrays (the draws, v's flat sort
+indices, the sorted v and one table's products, with room for CHUNK values
+each) for all its later chunks, blocks and jobs; a block with n > CHUNK
+allocates its own and drops it.
 
 Every entry point (a grid, one cell, a degree sweep) runs its cells as
 replicate blocks on one path.  A job whose estimated work (reps * n *
-(RANK_COST + score tables), summed over its cells; no clock), less the
-score-table builds a pool repeats in every block, is below POOL_MIN_WORK
-runs in this process, one block per cell, since a process pool costs more
-to start than it would save.  A larger job cuts
-its cells into about four blocks per process and sends all of them through
-one process pool, so a single cell uses every CPU too.  Either way the
+(RANK_COST + score tables), summed over its cells; no clock) is below
+POOL_MIN_WORK runs in this process, one block per cell, since a process
+pool costs more to start than it would save.  A larger job cuts its cells
+into about four blocks per process and sends all of them through one
+process pool, so a single cell uses every CPU too.  Either way the
 summaries are reduced in this process, and the numbers do not depend on
 the choice.  Worker count: pass `workers` explicitly, or set
 TAILRHO_THREADS (0 or unset means one worker per usable CPU).  No more
@@ -96,27 +96,24 @@ STREAM = 64
 # no clock, as the sum over its cells of reps * n * (RANK_COST + score
 # tables): one unit is one sample value's share of a rank integral over one
 # score table, and RANK_COST prices the draws, the FGM inversion and the
-# ranks in those units.  Every pooled block also rebuilds its cell's score
-# tables, TABLE_COST units per Bernstein weight (m + 1 for degree m).  A job
-# whose kernel work, less the table builds of its pooled blocks, is below
-# POOL_MIN_WORK units runs in this process, since a pool would cost more
-# than it saves.  All three are measured on a 2-CPU x86-64 machine:
-# RANK_COST from the kernel's time per replicate with 0 and 60 score tables,
-# (t0 / ((t60 - t0) / 60) / n) - 1 over blocks of two kernel chunks (13-15
-# at n = 50, 200 and 1000, one unit about 4 ns); TABLE_COST from the time
-# of building degrees 1..1000 (175 units per weight; 230-320 for other
-# degree ranges, where the per-table call overhead weighs more); and
-# POOL_MIN_WORK where two processes started to beat one: 1.3-2.6e7 units
-# for single cells and sweeps, 2.4-3.6e7 for 30-cell grids (about 100 ms of
-# work).  The two CPUs' parallel capacity varied from run to run, so these
-# crossings are approximate; below the threshold a pool would save at most
-# about 10%, above it a grid would lose up to half.
+# ranks in those units.  A job whose kernel work is below POOL_MIN_WORK
+# units runs in this process, since a pool would cost more than it saves.
+# Both are measured on a 2-CPU x86-64 machine: RANK_COST from the kernel's
+# time per replicate with 0 and 60 score tables, (t0 / ((t60 - t0) / 60) /
+# n) - 1 over blocks of two kernel chunks (13-15 at n = 50, 200 and 1000,
+# one unit about 4 ns); POOL_MIN_WORK where two processes started to beat
+# one: 1.3-2.6e7 units for single cells and sweeps, 2.4-3.6e7 for 30-cell
+# grids (about 100 ms of work).  Rechecked with each table built once per
+# job: grids still win at 3.6e7, 60-degree sweeps at n = 200 from 4.5-6e7,
+# and a 1000-degree sweep at n = 5, mostly reduction and result transfer,
+# ties from 3e7 to 6.1e7.  The two CPUs' parallel capacity varied from run
+# to run, so these crossings are approximate; below the threshold a pool
+# would save at most about 10%, above it a grid would lose up to half.
 RANK_COST = 14
-TABLE_COST = 175
 POOL_MIN_WORK = 25 * 10**6
 
-# Most result values (reps x score tables, summed over the cells) a job may
-# ask for: 800 MB of float64.
+# Most values a job may hold (800 MB of float64): reps results and n + 1
+# scores per score table, summed over the cells.
 MAX_SLOTS = 10**8
 
 THREADS_ENV = "TAILRHO_THREADS"
@@ -222,17 +219,10 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 
 def _processes(cells: list[tuple], reps: int, workers: int) -> int:
     """Processes a job runs on: `workers` capped at the usable CPUs, or one if
-    the job's kernel work less the table builds of its pooled blocks (see
-    TABLE_COST) is below POOL_MIN_WORK."""
+    the job's kernel work is below POOL_MIN_WORK."""
     processes = min(workers, _usable_cpus())
-    if processes <= 1:
-        return 1
-    blocks = -(-reps // _pooled_block(reps, len(cells), processes))  # per cell
     work = reps * sum(n * (RANK_COST + 1 + len(m)) for _, n, _, m, _ in cells)
-    tables = blocks * sum(sum(m) + len(m) for _, _, _, m, _ in cells)
-    if work - TABLE_COST * tables < POOL_MIN_WORK:
-        return 1
-    return processes
+    return 1 if work < POOL_MIN_WORK else processes
 
 
 def _pooled_block(reps: int, cells: int, processes: int) -> int:
@@ -251,21 +241,20 @@ def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
     generator carries over into the next kernel chunk.  Each row of u is
     sorted in place, so its ranks are 1..n, and v = from_uniforms(u, t).
     One argsort of v per chunk orders each replicate's pairs by v; the
-    sorted u and v get `pseudo_observations`' checks, and each score table T
-    (empirical, then one per requested degree, built one at a time from
-    its tail weights) costs one gather: the corner integral is
+    sorted u and v get `pseudo_observations`' checks, and each of the cell's
+    `tables` T costs one gather: the corner integral is
     (1/n) * sum_k T[order_k + 1] * T[k + 1], summed in increasing v.  This
     is the value `pseudo_observations(..., "n+1")` and `rho_hat_*` give on
     the pairs (sort(u)_j, v_j) listed in increasing v, bit for bit.  The
     same sample serves all degrees (common random numbers).  A failure is
     re-raised with the cell's (theta, n, p) attached.
     """
-    (theta, n, p, m_values, cell_index), seed, start, stop = args
+    (theta, n, p, _, cell_index), tables, seed, start, stop = args
     if start % STREAM:
         raise ValueError(f"replicate block starts at {start}, not a multiple of STREAM={STREAM}")
     try:
         model = FgmModel(theta)
-        integrals = np.empty((stop - start, 1 + len(m_values)))
+        integrals = np.empty((stop - start, len(tables)))
         rows = max(1, CHUNK // n)
         work = _work_arrays(min(rows, stop - start) * n)
         offsets = np.arange(0, rows * n, n)[:, None]
@@ -288,9 +277,7 @@ def _replicate_block(args) -> tuple[np.ndarray, np.ndarray]:
             _check_sorted(u, sorted_v)
             products = work.products[:size].reshape(hi - lo, n)
             chunk = integrals[lo - start : hi - start]
-            chunk[:, 0] = _rank_sums(empirical_scores(p, n + 1), order, products)
-            for j, m in enumerate(m_values, 1):
-                scores = bernstein_scores(tail_weights(p, m), n + 1)
+            for j, scores in enumerate(tables):
                 chunk[:, j] = _rank_sums(scores, order, products)
         values = tail_rho(integrals, p)
     except Exception as exc:
@@ -340,6 +327,13 @@ def _rank_sums(scores: np.ndarray, order: np.ndarray, products: np.ndarray) -> n
     return products.sum(axis=-1) / n
 
 
+def _score_tables(n: int, p: float, m_values: list[int]) -> list[np.ndarray]:
+    """A cell's score tables over the ranks 0..n, with d = n + 1: the
+    empirical table, then one per degree in m_values."""
+    bernstein = [bernstein_scores(tail_weights(p, m), n + 1) for m in m_values]
+    return [table[: n + 1] for table in (empirical_scores(p, n + 1), *bernstein)]
+
+
 def _true_rho(theta: float, n: int, p: float) -> float:
     """Check one cell's inputs; returns its true tail rho."""
     if not 1 <= n <= MAX_N:
@@ -353,21 +347,23 @@ def _simulate(
     """(true rho, emp, bern) of every cell, in cell order.
 
     A cell is (theta, n, p, m_values, cell_index); bern has one column per
-    degree in m_values.  Every cell, the seed and the job's MAX_SLOTS bound
-    are checked before any work.  A job that runs in this process (see
-    `_processes`) makes one block per cell, so each score table is built
-    once per kernel chunk.  A pooled job cuts each cell into replicate
-    blocks (see `_pooled_block`), never spanning two cells.  Each block's
-    values land in its cell's slots.
+    degree in m_values.  The reps, the seed, every cell and then the job's
+    MAX_SLOTS bound are checked before any work; then each cell's score
+    tables are built once, for all its blocks.  A job that runs in this
+    process (see `_processes`) makes one block per cell; a pooled job cuts
+    each cell into replicate blocks (see `_pooled_block`), never spanning
+    two cells.  Each block's values land in its cell's slots.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    slots = reps * sum(1 + len(m_values) for _, _, _, m_values, _ in cells)
-    if slots > MAX_SLOTS:
-        raise ValueError(f"{slots} result slots (reps x score tables) exceed {MAX_SLOTS}")
     truths = [_true_rho(theta, n, p) for theta, n, p, _, _ in cells]
+    slots = sum((reps + n + 1) * (1 + len(m_values)) for _, n, _, m_values, _ in cells)
+    if slots > MAX_SLOTS:
+        raise ValueError(
+            f"{slots} result slots and scores ((reps + n + 1) x score tables) exceed {MAX_SLOTS}"
+        )
     processes = _processes(cells, reps, workers)
     block = reps if processes == 1 else _pooled_block(reps, len(cells), processes)
     spans = [
@@ -375,7 +371,8 @@ def _simulate(
         for k in range(len(cells))
         for start in range(0, reps, block)
     ]
-    tasks = [(cells[k], seed, start, stop) for k, start, stop in spans]
+    tables = [_score_tables(n, p, m_values) for _, n, p, m_values, _ in cells]
+    tasks = [(cells[k], tables[k], seed, start, stop) for k, start, stop in spans]
     emps = [np.empty(reps) for _ in cells]
     berns = [np.empty((reps, len(cell[3]))) for cell in cells]
     blocks = _pool_map(_replicate_block, tasks, processes)

@@ -586,7 +586,16 @@ class TestFailFast:
         assert message in one_error_line(capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [SIMULATE, SWEEP])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            SIMULATE[:-1] + [str(10**13)],
+            SWEEP[:-1] + [str(10**13)],
+            # one replicate, but 31 score tables of 10^7 + 1 scores each
+            ["sweep", "--theta", "0", "--n", "10000000", "--p", "0.5", "--m-max", "30",
+             "--reps", "1"],
+        ],
+    )
     def test_result_slots_bounded_before_simulating(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -594,8 +603,6 @@ class TestFailFast:
             raise AssertionError("replicates were scheduled")
 
         monkeypatch.setattr(mc, "_pool_map", no_pool)
-        command = list(command)
-        command[command.index("--reps") + 1] = str(10**13)
         out = tmp_path / "x.csv"
         code = main(command + ["--out", str(out)])
         assert code == 2

@@ -234,19 +234,32 @@ class TestDegreeCap:
 
 
 class TestSlotBound:
-    def test_bound_counts_every_score_table(self, monkeypatch):
-        # 1 + 60 tables per replicate: one replicate more than fits fails
-        # before any work, and the most that fit pass the check (and stop
-        # before any allocation)
+    @pytest.fixture
+    def past_the_check(self, monkeypatch):
         def past_the_check(*args):
             raise AssertionError("past the check")
 
         monkeypatch.setattr(mc, "_processes", past_the_check)
-        reps = mc.MAX_SLOTS // 61
-        with pytest.raises(ValueError, match=f"{61 * (reps + 1)} result slots"):
+
+    def test_bound_counts_every_score_table(self, past_the_check):
+        # 1 + 60 tables per replicate, each also holding n + 1 = 11 scores:
+        # one replicate more than fits fails before any work, and the most
+        # that fit pass the check (and stop before any allocation)
+        reps = mc.MAX_SLOTS // 61 - 11
+        with pytest.raises(ValueError, match=f"{61 * (reps + 1 + 11)} result slots"):
             degree_sweep(0.0, 10, 0.5, 1, 60, reps=reps + 1, seed=1, workers=2)
         with pytest.raises(AssertionError, match="past the check"):
             degree_sweep(0.0, 10, 0.5, 1, 60, reps=reps, seed=1, workers=2)
+
+    def test_bound_counts_table_entries(self, past_the_check):
+        # at n = 10^6 the 99 tables' scores, not the results, fill the bound:
+        # 99 * (10100 + 10^6 + 1) fits, one replicate more does not
+        n, reps = 10**6, 10_100
+        assert 99 * (reps + n + 1) <= mc.MAX_SLOTS < 99 * (reps + 1 + n + 1)
+        with pytest.raises(ValueError, match=f"{99 * (reps + 1 + n + 1)} result slots"):
+            degree_sweep(0.0, n, 0.5, 1, 98, reps=reps + 1, seed=1, workers=2)
+        with pytest.raises(AssertionError, match="past the check"):
+            degree_sweep(0.0, n, 0.5, 1, 98, reps=reps, seed=1, workers=2)
 
 
 class TestReplicateCount:
@@ -399,9 +412,9 @@ class TestPoolRule:
         record = []
 
         def fake_pool_map(fn, tasks, processes):
-            record.append((processes, [(cell[4], start, stop) for cell, _, start, stop in tasks]))
+            record.append((processes, [(cell[4], start, stop) for cell, _, _, start, stop in tasks]))
             return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
-                    for cell, _, start, stop in tasks]
+                    for cell, _, _, start, stop in tasks]
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
@@ -438,8 +451,7 @@ class TestPoolRule:
         assert calls == [(1, [(k, 0, 10_000) for k in range(30)])]
 
     def test_many_degrees_at_small_n_run_in_process(self, calls):
-        # 2.0e7 kernel units, but 8 pooled blocks would each rebuild the
-        # tables of 1000 degrees: this ran 2x slower on 2 processes than on 1
+        # 4000 * 5 * (14 + 1 + 1000) = 2.03e7 kernel units, below the threshold
         degree_sweep(0.5, 5, 0.5, 1, 1000, reps=4000, seed=1, workers=2)
         assert calls == [(1, [(0, 0, 4000)])]
 
@@ -447,28 +459,12 @@ class TestPoolRule:
         # reps * n * (RANK_COST + 1 + degrees) units: 250 per replicate here
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mc, "RANK_COST", 20)
-        monkeypatch.setattr(mc, "TABLE_COST", 0)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 2500)
         cells = [(0.5, 10, 0.5, [4, 5, 6, 7], 0)]
         assert mc._processes(cells, 10, 8) == 2
         assert mc._processes(cells, 9, 8) == 1
         assert mc._processes(cells * 2, 5, 8) == 2  # summed over cells
         assert mc._processes(cells, 10, 1) == 1
-
-    def test_table_builds_counted_once_per_block(self, monkeypatch):
-        # the 4 degrees have 5 + 6 + 7 + 8 = 26 weights; 200 replicates on 2
-        # processes make blocks of 64, so 4 blocks and 104 weights built
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(mc, "RANK_COST", 20)
-        monkeypatch.setattr(mc, "POOL_MIN_WORK", 2500)
-        cells = [(0.5, 10, 0.5, [4, 5, 6, 7], 0)]
-        monkeypatch.setattr(mc, "TABLE_COST", 1)
-        assert mc._processes(cells, 10, 8) == 1  # 2500 - 26 units
-        assert mc._processes(cells, 11, 8) == 2  # 2750 - 26 units
-        monkeypatch.setattr(mc, "TABLE_COST", 456)
-        assert mc._processes(cells, 200, 8) == 2  # 50000 - 456 * 104 = 2576
-        monkeypatch.setattr(mc, "TABLE_COST", 457)
-        assert mc._processes(cells, 200, 8) == 1  # 50000 - 457 * 104 = 2472
 
 
 def loop_stats(x, true_rho):
@@ -509,6 +505,13 @@ def stream_sample(theta, n, seed, cell_index, rep):
     return u[order], v[order]
 
 
+def kernel(cell, seed, start, stop):
+    """`mc._replicate_block` on replicates [start, stop) of `cell`, with the
+    cell's score tables."""
+    _, n, p, m_values, _ = cell
+    return mc._replicate_block((cell, mc._score_tables(n, p, m_values), seed, start, stop))
+
+
 class TestKernelMatchesPublicApi:
     """The replicate kernel's score tables give, bit for bit, what the public
     estimators give on the same replicate sample."""
@@ -523,7 +526,7 @@ class TestKernelMatchesPublicApi:
     def test_every_replicate(self, n, start, stop):
         theta, p, seed, cell_index = 0.5, 0.9, 11, 4
         m_values = [1, rule_of_thumb_degree(n), n + 7]
-        emp, bern = mc._replicate_block(((theta, n, p, m_values, cell_index), seed, start, stop))
+        emp, bern = kernel((theta, n, p, m_values, cell_index), seed, start, stop)
         for i, rep in enumerate(range(start, stop)):
             x, y = stream_sample(theta, n, seed, cell_index, rep)
             ps = pseudo_observations(x, y, denominator="n+1")
@@ -538,12 +541,29 @@ class TestChunking:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_chunk_size_leaves_bits(self, monkeypatch, n, m_values, rows):
         args = ((-0.5, n, 0.5, m_values, 3), 17, 64, 84)
-        emp, bern = mc._replicate_block(args)
+        emp, bern = kernel(*args)
         assert mc.CHUNK // n >= 20  # the default runs this block as one chunk
         monkeypatch.setattr(mc, "CHUNK", rows * n)
-        chunked_emp, chunked_bern = mc._replicate_block(args)
+        chunked_emp, chunked_bern = kernel(*args)
         assert chunked_emp.tolist() == emp.tolist()
         assert chunked_bern.tolist() == bern.tolist()
+
+
+class TestScoreTables:
+    def test_built_once_per_cell(self, monkeypatch):
+        # at n = 2000 a kernel chunk holds 32 replicates, so the one block
+        # of 150 spans 5 chunks; each degree's weights are built once
+        calls = []
+        tail_weights = mc.tail_weights
+
+        def counted(p, m):
+            calls.append(m)
+            return tail_weights(p, m)
+
+        monkeypatch.setattr(mc, "tail_weights", counted)
+        degree_sweep(0.5, 2000, 0.1, 1, 60, reps=150, seed=1, workers=1)
+        assert -(-150 // (mc.CHUNK // 2000)) == 5
+        assert sorted(calls) == list(range(1, 61))
 
 
 def in_new_thread(fn):
@@ -560,7 +580,7 @@ class TestWorkArrays:
         sizes = (200, 7, 1000, 1, 50)
 
         def block(n):
-            return joined([mc._replicate_block(((0.5, n, 0.5, [1, 3 * n], 1), 5, 0, 70))])
+            return joined([kernel((0.5, n, 0.5, [1, 3 * n], 1), 5, 0, 70)])
 
         def blocks():
             values, kept = [], []
@@ -579,12 +599,12 @@ class TestWorkArrays:
         # more threads than CPUs, switching often, each running blocks of
         # several sizes: a set shared between threads would mix their rows
         cells = [(0.5, n, 0.5, [1, 2 * n], k) for k, n in enumerate((20, 300, 3, 80) * 3)]
-        serial = [joined([mc._replicate_block((cell, 9, 0, 90))]) for cell in cells]
+        serial = [joined([kernel(cell, 9, 0, 90)]) for cell in cells]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(mc._replicate_block, (cell, 9, 0, 90)) for cell in cells]
+                futures = [pool.submit(kernel, cell, 9, 0, 90) for cell in cells]
                 threaded = [joined([future.result(timeout=60)]) for future in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -598,7 +618,7 @@ class TestWorkArrays:
 
         def kept_after(small_first):
             if small_first:
-                mc._replicate_block(((0.5, 50, 0.5, [13], 0), 1, 0, 10))
+                kernel((0.5, 50, 0.5, [13], 0), 1, 0, 10)
             large_cell()
             return getattr(mc._thread, "work", None)
 
@@ -629,15 +649,15 @@ class TestStreams:
     @pytest.mark.parametrize("n", [40, 2000])
     def test_block_starts_and_chunks_leave_bits(self, monkeypatch, n):
         cell = (0.5, n, 0.5, [1, rule_of_thumb_degree(n)], 2)
-        whole = joined([mc._replicate_block((cell, 7, 0, 150))])
+        whole = joined([kernel(cell, 7, 0, 150)])
         for cuts in ([0, 64, 128, 150], [0, 128, 150], [0, 64, 150]):
-            blocks = [mc._replicate_block((cell, 7, a, b)) for a, b in zip(cuts, cuts[1:])]
+            blocks = [kernel(cell, 7, a, b) for a, b in zip(cuts, cuts[1:])]
             assert joined(blocks) == whole
         # kernel chunks of 1 and 7 rows hold part of a stream, of 100 rows
         # parts of two streams, of 150 rows the whole block
         for rows in (1, 7, 100, 150):
             monkeypatch.setattr(mc, "CHUNK", rows * n + n // 2)
-            assert joined([mc._replicate_block((cell, 7, 0, 150))]) == whole
+            assert joined([kernel(cell, 7, 0, 150)]) == whole
 
     @pytest.fixture
     def spans(self, monkeypatch):
@@ -645,9 +665,9 @@ class TestStreams:
         record = []
 
         def fake_pool_map(fn, tasks, workers):
-            record.extend((cell[4], start, stop) for cell, _, start, stop in tasks)
+            record.extend((cell[4], start, stop) for cell, _, _, start, stop in tasks)
             return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
-                    for cell, _, start, stop in tasks]
+                    for cell, _, _, start, stop in tasks]
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
@@ -691,7 +711,7 @@ class TestStreams:
     def test_misaligned_block_rejected(self, start):
         message = f"replicate block starts at {start}, not a multiple of STREAM=64"
         with pytest.raises(ValueError, match=message):
-            mc._replicate_block(((0.5, 20, 0.5, [4], 0), 1, start, start + 10))
+            kernel((0.5, 20, 0.5, [4], 0), 1, start, start + 10)
 
 
 class TestBatchedChecks:
