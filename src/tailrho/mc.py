@@ -19,20 +19,21 @@ written as products, so the C library's `pow` plays no part either.  STREAM
 and the recipe are part of the numbers, not tuning knobs: changing either
 changes every result.
 
-A job builds each cell's score tables once, before any block runs (see
-`_score_tables`).  A replicate block starts at a multiple of STREAM and
-fills each kernel chunk's uniforms with one draw per stream chunk it meets;
-a stream chunk longer than a kernel chunk carries its generator on to the
-next one.  The kernel works on chunks of at most max(1, CHUNK // n)
-replicates at once, over (rows, n) arrays: it sorts the rows of u in place,
-so the first margin's ranks are 1..n; inverts; orders each row of v with
-one argsort; checks both sorted margins with `pseudo_observations`' own
-checks (`copula._check_sorted`); and then pays one gather per score table
-(see `_rank_sums`).  The chunk bounds each work array to O(CHUNK) floats.
-Each thread keeps one set of work arrays (the draws, v's flat sort
-indices, the sorted v and one table's products, with room for CHUNK values
-each) for all its later chunks, blocks and jobs; a block with n > CHUNK
-allocates its own and drops it.
+A replicate block starts at a multiple of STREAM and fills each kernel
+chunk's uniforms with one draw per stream chunk it meets; a stream chunk
+longer than a kernel chunk carries its generator on to the next one.  The
+kernel works on chunks of at most max(1, CHUNK // n) replicates at once,
+over (rows, n) arrays: it sorts the rows of u in place, so the first
+margin's ranks are 1..n; inverts; orders each row of v with one argsort;
+checks both sorted margins with `pseudo_observations`' own checks
+(`copula._check_sorted`); and then pays one gather per score table (see
+`_rank_sums`).  The chunk bounds each work array to O(CHUNK) floats.  Each
+thread keeps one set of work arrays (the draws, v's flat sort indices, the
+sorted v and one table's products, with room for CHUNK values each) for all
+its later chunks, blocks and jobs; a block with n > CHUNK allocates its own
+and drops it.  A thread keeps the score tables (see `_score_tables`) of its
+last block's cell for its next blocks, so a process builds a cell's tables
+at most once per job and holds one cell's tables at a time.
 
 Every entry point (a grid, one cell, a degree sweep) runs its cells as
 replicate blocks on one path.  A job whose estimated work (reps * n *
@@ -104,16 +105,18 @@ STREAM = 64
 # one unit about 4 ns); POOL_MIN_WORK where two processes started to beat
 # one: 1.3-2.6e7 units for single cells and sweeps, 2.4-3.6e7 for 30-cell
 # grids (about 100 ms of work).  Rechecked with each table built once per
-# job: grids still win at 3.6e7, 60-degree sweeps at n = 200 from 4.5-6e7,
-# and a 1000-degree sweep at n = 5, mostly reduction and result transfer,
-# ties from 3e7 to 6.1e7.  The two CPUs' parallel capacity varied from run
-# to run, so these crossings are approximate; below the threshold a pool
-# would save at most about 10%, above it a grid would lose up to half.
+# process: grids win at 3.6e7, 60-degree sweeps at n = 200 tie at 4.5e7 and
+# a 1000-degree sweep at n = 5 from 2e7 to 5.1e7.  The two CPUs' parallel
+# capacity varied from run to run, so these crossings are approximate;
+# below the threshold a pool would save at most about 10%, above it a grid
+# would lose up to half.
 RANK_COST = 14
 POOL_MIN_WORK = 25 * 10**6
 
-# Most values a job may hold (800 MB of float64): reps results and n + 1
-# scores per score table, summed over the cells.
+# Most values a job's result slots and score tables may hold (800 MB of
+# float64): reps per score table summed over the cells, and in each process
+# one cell's score tables, n + 2 values each, counted for the largest cell.
+# A pool starts no more processes than it leaves room for.
 MAX_SLOTS = 10**8
 
 THREADS_ENV = "TAILRHO_THREADS"
@@ -327,11 +330,26 @@ def _rank_sums(scores: np.ndarray, order: np.ndarray, products: np.ndarray) -> n
     return products.sum(axis=-1) / n
 
 
-def _score_tables(n: int, p: float, m_values: list[int]) -> list[np.ndarray]:
-    """A cell's score tables over the ranks 0..n, with d = n + 1: the
+def _score_tables(n: int, p: float, m_values: list[int]) -> np.ndarray:
+    """A cell's score tables over the ranks 0..d, d = n + 1, one per row: the
     empirical table, then one per degree in m_values."""
-    bernstein = [bernstein_scores(tail_weights(p, m), n + 1) for m in m_values]
-    return [table[: n + 1] for table in (empirical_scores(p, n + 1), *bernstein)]
+    tables = np.empty((1 + len(m_values), n + 2))
+    tables[0] = empirical_scores(p, n + 1)
+    for row, m in zip(tables[1:], m_values):
+        row[:] = bernstein_scores(tail_weights(p, m), n + 1)
+    return tables
+
+
+def _cell_block(task) -> tuple[np.ndarray, np.ndarray]:
+    """`_replicate_block` of a (cell, seed, start, stop) task.  The thread
+    keeps the score tables it built last, for blocks of equal (n, p, degrees)."""
+    cell, seed, start, stop = task
+    key = cell[1:4]  # (n, p, m_values)
+    held = getattr(_thread, "tables", None)
+    if held is None or held[0] != key:
+        _thread.tables = None  # let the last cell's tables go first
+        held = _thread.tables = (key, _score_tables(*key))
+    return _replicate_block((cell, held[1], seed, start, stop))
 
 
 def _true_rho(theta: float, n: int, p: float) -> float:
@@ -348,8 +366,7 @@ def _simulate(
 
     A cell is (theta, n, p, m_values, cell_index); bern has one column per
     degree in m_values.  The reps, the seed, every cell and then the job's
-    MAX_SLOTS bound are checked before any work; then each cell's score
-    tables are built once, for all its blocks.  A job that runs in this
+    MAX_SLOTS bound are checked before any work.  A job that runs in this
     process (see `_processes`) makes one block per cell; a pooled job cuts
     each cell into replicate blocks (see `_pooled_block`), never spanning
     two cells.  Each block's values land in its cell's slots.
@@ -359,23 +376,27 @@ def _simulate(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     truths = [_true_rho(theta, n, p) for theta, n, p, _, _ in cells]
-    slots = sum((reps + n + 1) * (1 + len(m_values)) for _, n, _, m_values, _ in cells)
-    if slots > MAX_SLOTS:
+    results = reps * sum(1 + len(m) for _, _, _, m, _ in cells)
+    tables = max((n + 2) * (1 + len(m)) for _, n, _, m, _ in cells)  # per process
+    if results + tables > MAX_SLOTS:
         raise ValueError(
-            f"{slots} result slots and scores ((reps + n + 1) x score tables) exceed {MAX_SLOTS}"
+            f"{results + tables} result slots and score-table entries exceed {MAX_SLOTS}"
+            " (reps per score table, plus n + 2 per score table of the largest cell)"
         )
-    processes = _processes(cells, reps, workers)
+    processes = min(_processes(cells, reps, workers), (MAX_SLOTS - results) // tables)
     block = reps if processes == 1 else _pooled_block(reps, len(cells), processes)
     spans = [
         (k, start, min(start + block, reps))
         for k in range(len(cells))
         for start in range(0, reps, block)
     ]
-    tables = [_score_tables(n, p, m_values) for _, n, p, m_values, _ in cells]
-    tasks = [(cells[k], tables[k], seed, start, stop) for k, start, stop in spans]
+    tasks = [(cells[k], seed, start, stop) for k, start, stop in spans]
     emps = [np.empty(reps) for _ in cells]
     berns = [np.empty((reps, len(cell[3]))) for cell in cells]
-    blocks = _pool_map(_replicate_block, tasks, processes)
+    try:
+        blocks = _pool_map(_cell_block, tasks, processes)
+    finally:
+        _thread.tables = None
     for (k, start, stop), (emp, bern) in zip(spans, blocks):
         emps[k][start:stop] = emp
         berns[k][start:stop] = bern

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -242,24 +243,54 @@ class TestSlotBound:
         monkeypatch.setattr(mc, "_processes", past_the_check)
 
     def test_bound_counts_every_score_table(self, past_the_check):
-        # 1 + 60 tables per replicate, each also holding n + 1 = 11 scores:
+        # 1 + 60 tables per replicate, each also holding n + 2 = 12 scores:
         # one replicate more than fits fails before any work, and the most
         # that fit pass the check (and stop before any allocation)
-        reps = mc.MAX_SLOTS // 61 - 11
-        with pytest.raises(ValueError, match=f"{61 * (reps + 1 + 11)} result slots"):
+        reps = mc.MAX_SLOTS // 61 - 12
+        with pytest.raises(ValueError, match=f"{61 * (reps + 1 + 12)} result slots"):
             degree_sweep(0.0, 10, 0.5, 1, 60, reps=reps + 1, seed=1, workers=2)
         with pytest.raises(AssertionError, match="past the check"):
             degree_sweep(0.0, 10, 0.5, 1, 60, reps=reps, seed=1, workers=2)
 
     def test_bound_counts_table_entries(self, past_the_check):
         # at n = 10^6 the 99 tables' scores, not the results, fill the bound:
-        # 99 * (10100 + 10^6 + 1) fits, one replicate more does not
-        n, reps = 10**6, 10_100
-        assert 99 * (reps + n + 1) <= mc.MAX_SLOTS < 99 * (reps + 1 + n + 1)
-        with pytest.raises(ValueError, match=f"{99 * (reps + 1 + n + 1)} result slots"):
+        # 99 * (10099 + 10^6 + 2) fits, one replicate more does not
+        n, reps = 10**6, 10_099
+        assert 99 * (reps + n + 2) <= mc.MAX_SLOTS < 99 * (reps + 1 + n + 2)
+        with pytest.raises(ValueError, match=f"{99 * (reps + 1 + n + 2)} result slots"):
             degree_sweep(0.0, n, 0.5, 1, 98, reps=reps + 1, seed=1, workers=2)
         with pytest.raises(AssertionError, match="past the check"):
             degree_sweep(0.0, n, 0.5, 1, 98, reps=reps, seed=1, workers=2)
+
+    def test_bound_counts_one_cells_tables(self, past_the_check):
+        # a process holds one cell's tables at a time: the 30 cells at
+        # n = 10^7 fit with 2 * (10^7 + 2) scores, not 30 times that
+        config = ExperimentConfig(
+            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(10**7,), ps=(0.1, 0.5, 1.0),
+            degree_rule=1, reps=100, seed=1,
+        )
+        with pytest.raises(AssertionError, match="past the check"):
+            run_table(config, workers=2)
+
+    @pytest.mark.parametrize("degrees, processes", [(60, 1), (40, 2), (10, 8)])
+    def test_pool_fits_the_bound(self, monkeypatch, degrees, processes):
+        # at n = 10^6 each process holds its cell's 1 + degrees tables of
+        # 10^6 + 2 scores: a pool starts no more processes than fit in
+        # MAX_SLOTS next to the result slots
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        started = []
+
+        def fake_pool_map(fn, tasks, processes):
+            started.append(processes)
+            return [(np.zeros(stop - start), np.zeros((stop - start, degrees)))
+                    for _, _, start, stop in tasks]
+
+        monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
+        degree_sweep(0.5, 10**6, 0.5, 1, degrees, reps=1000, seed=1, workers=8)
+        results, tables = 1000 * (1 + degrees), (1 + degrees) * (10**6 + 2)
+        assert started == [processes]
+        assert results + processes * tables <= mc.MAX_SLOTS
+        assert processes == 8 or results + (processes + 1) * tables > mc.MAX_SLOTS
 
 
 class TestReplicateCount:
@@ -412,9 +443,9 @@ class TestPoolRule:
         record = []
 
         def fake_pool_map(fn, tasks, processes):
-            record.append((processes, [(cell[4], start, stop) for cell, _, _, start, stop in tasks]))
+            record.append((processes, [(cell[4], start, stop) for cell, _, start, stop in tasks]))
             return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
-                    for cell, _, _, start, stop in tasks]
+                    for cell, _, start, stop in tasks]
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
@@ -565,6 +596,36 @@ class TestScoreTables:
         assert -(-150 // (mc.CHUNK // 2000)) == 5
         assert sorted(calls) == list(range(1, 61))
 
+    def test_kept_across_a_threads_blocks(self, monkeypatch):
+        # a pooled job whose 8 blocks all run in this thread builds each
+        # cell's tables once, sends none in its tasks, and lets them go after
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
+        jobs, built = [], []
+
+        def map_in_this_thread(fn, tasks, processes):
+            jobs.append((processes, len(tasks), max(len(pickle.dumps(t)) for t in tasks)))
+            return [fn(task) for task in tasks]
+
+        score_tables = mc._score_tables
+
+        def counted(n, p, m_values):
+            built.append((n, p))
+            return score_tables(n, p, m_values)
+
+        monkeypatch.setattr(mc, "_pool_map", map_in_this_thread)
+        monkeypatch.setattr(mc, "_score_tables", counted)
+        grid = [(0.5, 20, 0.5, [4, 9], 0), (-1.0, 20, 0.1, [4, 9], 1)]
+        pooled = mc._simulate(grid, 1000, 3, 2)
+        [(processes, tasks, largest)] = jobs
+        assert (processes, tasks) == (2, 8) and largest < 200  # bytes per task
+        assert built == [(20, 0.5), (20, 0.1)]
+        assert mc._thread.tables is None
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 10**9)
+        for (rho, emp, bern), (rho1, emp1, bern1) in zip(pooled, mc._simulate(grid, 1000, 3, 2)):
+            assert (rho, emp.tolist(), bern.tolist()) == (rho1, emp1.tolist(), bern1.tolist())
+        assert jobs[1][:2] == (1, 2)
+
 
 def in_new_thread(fn):
     """fn() in a thread of its own, which starts with no work arrays."""
@@ -665,9 +726,9 @@ class TestStreams:
         record = []
 
         def fake_pool_map(fn, tasks, workers):
-            record.extend((cell[4], start, stop) for cell, _, _, start, stop in tasks)
+            record.extend((cell[4], start, stop) for cell, _, start, stop in tasks)
             return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
-                    for cell, _, _, start, stop in tasks]
+                    for cell, _, start, stop in tasks]
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
