@@ -199,5 +199,5 @@ def estimate_limit_variance(
     if reps < 2:
         raise ValueError("need at least two replicates for a variance")
     workers = resolve_workers(workers)
-    [(true_rho, emp, _)] = _simulate([(theta, n, p, [], 0)], reps, seed, workers)
+    [(true_rho, emp, _)] = _simulate([(theta, n, p, [])], reps, seed, workers)
     return n * _stats(emp, true_rho)[1]

@@ -245,7 +245,7 @@ class TestAsymptoticSuite:
             medians = []
             for n in (50, 200, 800):
                 m = rule_of_thumb_degree(n)
-                [(_, _, bern)] = _simulate([(theta, n, p, [m], 0)], 200, 4242, 2)
+                [(_, _, bern)] = _simulate([(theta, n, p, [m])], 200, 4242, 2)
                 medians.append(float(np.median(np.abs(bern[:, 0] - true_rho))))
             details.append(f"p={p}: " + " > ".join(f"{v:.4f}" for v in medians))
             ok = ok and medians[0] > medians[1] > medians[2]
@@ -255,7 +255,7 @@ class TestAsymptoticSuite:
         theta, p, n, reps = 0.5, 0.5, 2000, 5000
         m = rule_of_thumb_degree(n)
         model = FgmModel(theta)
-        [(_, _, bern)] = _simulate([(theta, n, p, [m], 0)], reps, 777, 2)
+        [(_, _, bern)] = _simulate([(theta, n, p, [m])], reps, 777, 2)
         z = math.sqrt(n) * (bern[:, 0] - model.rho_tail_analytic(p))
         skew = float(stats.skew(z))
         kurt = float(stats.kurtosis(z))

@@ -323,6 +323,25 @@ class TestSimulate:
         assert main(args + ["--out", str(out8)]) == 0
         assert out1.read_bytes() == out8.read_bytes()
 
+    def test_cell_row_independent_of_grid(self, tmp_path):
+        # a cell's streams are keyed by its (theta, n), not its grid position
+        args = ["--reps", "300", "--seed", "9"]
+        one, grid = tmp_path / "one.csv", tmp_path / "grid.csv"
+        assert main(["simulate", "--theta=0.5", "--n", "50", "--p", "0.1", *args,
+                     "--out", str(one)]) == 0
+        assert main(["simulate", "--theta=-1,0.5", "--n", "50,200", "--p", "0.1,0.5", *args,
+                     "--out", str(grid)]) == 0
+        [row] = one.read_text().strip().split("\n")[1:]
+        assert [line for line in grid.read_text().split("\n")
+                if line.startswith("0.5,50,0.1,")] == [row]
+
+    def test_repeated_threshold_repeats_row(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--theta", "0.5", "--n", "30", "--p", "0.5,0.5",
+                     "--reps", "40", "--seed", "2", "--out", str(out)]) == 0
+        header, first, second = out.read_text().strip().split("\n")
+        assert first == second
+
     def test_invalid_grid_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = main(
@@ -593,6 +612,9 @@ class TestFailFast:
             SWEEP[:-1] + [str(10**13)],
             # one replicate, but 31 score tables of 10^7 + 1 scores each
             ["sweep", "--theta", "0", "--n", "10000000", "--p", "0.5", "--m-max", "30",
+             "--reps", "1"],
+            # one (theta, n) with 5 thresholds holds 10 tables of 10^7 + 2 scores
+            ["simulate", "--theta", "0.5", "--n", "10000000", "--p", "0.1,0.2,0.3,0.4,0.5",
              "--reps", "1"],
         ],
     )

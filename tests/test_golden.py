@@ -4,9 +4,10 @@ Each case hashes the exact hexadecimal form of every CellSummary field, so a
 refactor of the replicate, pool or reduction code that changes even the last
 bit of one number fails here.  They were moved on purpose by the streams
 keyed by 64-replicate chunks, the BLAS-free row sums and the products in
-place of `pow`, and last by sorting each replicate's first margin before the
-inversion and summing its rank products in increasing second coordinate; a
-deliberate change of random stream or of reduction order must update them
+place of `pow`, by sorting each replicate's first margin before the
+inversion and summing its rank products in increasing second coordinate,
+and last by keying each stream by the cell's (theta, n) instead of its grid
+position; a deliberate change of random stream or of reduction order must update them
 and say so in CHANGES.md.
 """
 
@@ -31,10 +32,10 @@ def digest(rows) -> str:
 GRID = ExperimentConfig(
     thetas=(-1.0, 0.0, 0.5), ns=(15, 40), ps=(0.1, 1.0), reps=40, seed=2024
 )
-GRID_DIGEST = "0fa2f736a84ec3315d8a887fcacbe2b1a2b9061c5c0c62d8a649986dcb727f79"
-SWEEP_DIGEST = "b5c31353f880b050bb962eef410c7976731bb1452f7ea099f9072d51d191dfd4"
-SINGLE_REP_DIGEST = "eda16013cf86d039b6571181b77ba023c3377e41b6ddcd96ffca1a5017d00b62"
-LIMIT_VARIANCE_DIGEST = "295cef679d62d00f491438861a9b332bbfda0858b4f84f9d08f2e364683649fd"
+GRID_DIGEST = "9fc4f9f611601cc3738a445ed8c9e56772090519fe3ddc67b0b13ccc0eaec152"
+SWEEP_DIGEST = "043e89f3e583dfbd6ab47974f03fc8c7f92667117603ac0a8cbdf4cd7cfc274f"
+SINGLE_REP_DIGEST = "43e4fed59871eccf9556cd0f3c149f9c3f01d1d673a5c288388d0181719ea75f"
+LIMIT_VARIANCE_DIGEST = "d0d390d9cb84be2551e5ae5a1099ff6a3f9dcbec493ecbe6c20373f5eeee55b0"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,6 +1,8 @@
 import concurrent.futures
+import dataclasses
 import math
 import pickle
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -136,6 +138,57 @@ class TestRunTable:
         )
         assert run_table(config, workers=1) == run_table(config, workers=2)
 
+    def test_rows_independent_of_grid(self):
+        # each row equals run_cell of its cell and its row in a larger grid:
+        # a cell's streams are keyed by its (theta, n), not its grid position
+        small = ExperimentConfig(
+            thetas=(-0.5, 1.0), ns=(50, 200), ps=(0.1, 1.0), reps=70, seed=7
+        )
+        reference = ExperimentConfig(
+            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(50, 200), ps=(0.1, 0.5, 1.0),
+            reps=70, seed=7,
+        )
+        rows = run_table(small, workers=2)
+        wide = {(r.theta, r.n, r.p): r for r in run_table(reference, workers=1)}
+        for row, (theta, n, p) in zip(rows, small.cells()):
+            assert row == run_cell(theta, n, p, small.degree_for(n), reps=70, seed=7, workers=1)
+            assert row == wide[(theta, n, p)]
+
+    def test_repeated_values_repeat_rows(self):
+        # -0.0 and 0.0 share a stream, as do repeated n and p values
+        config = ExperimentConfig(
+            thetas=(-0.0, 0.0), ns=(30, 30), ps=(0.5, 0.5), reps=90, seed=4
+        )
+        rows = run_table(config, workers=1)
+        assert len(rows) == 8
+        assert all(dataclasses.astuple(row)[1:] == dataclasses.astuple(rows[0])[1:]
+                   for row in rows)
+
+    def test_p_cells_share_samples(self):
+        # the p-cells of one (theta, n) see the same samples: their values are
+        # strongly correlated, those of another theta are not
+        [(_, low, _), (_, high, _), (_, other, _)] = mc._simulate(
+            [(0.5, 50, 0.5, [13]), (0.5, 50, 1.0, [13]), (-0.5, 50, 1.0, [13])], 500, 3, 1
+        )
+        assert np.corrcoef(low, high)[0, 1] > 0.5
+        assert abs(np.corrcoef(low, other)[0, 1]) < 0.2
+
+    def test_sample_drawn_once_per_theta_and_n(self, monkeypatch):
+        # the 100-replicate reference grid, one kernel chunk per (theta, n)
+        calls = []
+        from_uniforms = FgmModel.from_uniforms
+
+        def counted(self, u, t):
+            calls.append(u.shape)
+            return from_uniforms(self, u, t)
+
+        monkeypatch.setattr(FgmModel, "from_uniforms", counted)
+        config = ExperimentConfig(
+            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(50, 200), ps=(0.1, 0.5, 1.0), reps=100
+        )
+        run_table(config, workers=1)
+        assert len(calls) == 10
+
 
 class TestDegreeSweep:
     def test_empirical_summary_constant_across_rows(self):
@@ -263,13 +316,22 @@ class TestSlotBound:
             degree_sweep(0.0, n, 0.5, 1, 98, reps=reps, seed=1, workers=2)
 
     def test_bound_counts_one_cells_tables(self, past_the_check):
-        # a process holds one cell's tables at a time: the 30 cells at
-        # n = 10^7 fit with 2 * (10^7 + 2) scores, not 30 times that
+        # a process holds one (theta, n) unit's tables at a time: the 20 cells
+        # at n = 10^7 fit with 4 * 2 * (10^7 + 2) scores, not 5 times that
         config = ExperimentConfig(
-            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(10**7,), ps=(0.1, 0.5, 1.0),
+            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(10**7,), ps=(0.1, 0.2, 0.5, 1.0),
             degree_rule=1, reps=100, seed=1,
         )
         with pytest.raises(AssertionError, match="past the check"):
+            run_table(config, workers=2)
+
+    def test_fifth_threshold_at_max_n_refused(self, past_the_check):
+        # 5 thresholds of one (theta, n) make 10 tables of 10^7 + 2 scores
+        config = ExperimentConfig(
+            thetas=(0.5,), ns=(10**7,), ps=(0.1, 0.2, 0.3, 0.4, 0.5),
+            degree_rule=1, reps=1, seed=1,
+        )
+        with pytest.raises(ValueError, match=f"{10 * (1 + 10**7 + 2)} result slots"):
             run_table(config, workers=2)
 
     @pytest.mark.parametrize("degrees, processes", [(60, 1), (40, 2), (10, 8)])
@@ -282,8 +344,7 @@ class TestSlotBound:
 
         def fake_pool_map(fn, tasks, processes):
             started.append(processes)
-            return [(np.zeros(stop - start), np.zeros((stop - start, degrees)))
-                    for _, _, start, stop in tasks]
+            return [np.zeros((stop - start, 1 + degrees)) for _, _, start, stop in tasks]
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         degree_sweep(0.5, 10**6, 0.5, 1, degrees, reps=1000, seed=1, workers=8)
@@ -327,6 +388,12 @@ class TestFailureContext:
         with pytest.raises(RuntimeError, match=self.CONTEXT) as info:
             run_table(config, workers=1)
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_unit_names_every_threshold(self):
+        config = ExperimentConfig(thetas=(0.5,), ns=(20,), ps=(0.25, 1.0), reps=5, seed=1)
+        context = r"simulation cell \(theta=0.5, n=20, p=0.25,1.0\) failed: sampler broke"
+        with pytest.raises(RuntimeError, match=context):
+            run_table(config, workers=1)
 
 
 class RecordingExecutor:
@@ -397,7 +464,7 @@ class TestPoolCap:
 
     def test_run_table_through_capped_pool(self, pool):
         config = ExperimentConfig(
-            thetas=(-1.0, 1.0), ns=(15,), ps=(0.5, 1.0), reps=20, seed=8
+            thetas=(-1.0, 1.0), ns=(15, 16), ps=(0.5, 1.0), reps=20, seed=8
         )
         assert run_table(config, workers=6) == run_table(config, workers=1)
         assert pool == [3]
@@ -425,7 +492,7 @@ class TestPoolCap:
             thetas=(-1.0, 0.0, 1.0), ns=(15, 30), ps=(0.1, 0.5, 1.0), reps=6, seed=8
         )
         wide = run_table(config, workers=2)
-        assert task_counts == [18]  # one block per cell: 18 cells outnumber 4 per process
+        assert task_counts == [6]  # one block per (theta, n): 6 replicates fit one stream
         assert pool == [2]
         assert wide == run_table(config, workers=1)
 
@@ -433,19 +500,18 @@ class TestPoolCap:
 class TestPoolRule:
     """A job starts a pool only when its estimated work reaches POOL_MIN_WORK;
     the choice depends on the job's shape and the worker count alone, and a
-    job run in this process makes one block per cell."""
+    job run in this process makes one block per (theta, n) unit."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         """Two usable CPUs; records every _pool_map call's process count and
-        (cell index, start, stop) spans, and computes nothing."""
+        ((theta, n), start, stop) spans, and computes nothing."""
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         record = []
 
         def fake_pool_map(fn, tasks, processes):
-            record.append((processes, [(cell[4], start, stop) for cell, _, start, stop in tasks]))
-            return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
-                    for cell, _, start, stop in tasks]
+            record.append((processes, [(unit[:2], start, stop) for unit, _, start, stop in tasks]))
+            return [np.zeros((stop - start, mc._width(unit[2]))) for unit, _, start, stop in tasks]
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
@@ -456,20 +522,23 @@ class TestPoolRule:
             reps=reps, seed=42,
         )
 
+    # the reference grid's 10 units in the order of their tables: n = 50 first
+    UNITS = [(theta, n) for n in (50, 200) for theta in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+
     # the benchmark's workloads (perfbench/workloads.py): a 60-degree sweep
     # at n = 200 and the reference grid, 100 replicates each
     def test_benchmark_sweep_runs_in_process(self, calls):
         degree_sweep(0.0, 200, 0.5, 1, 60, reps=100, seed=1, workers=2)
-        assert calls == [(1, [(0, 0, 100)])]
+        assert calls == [(1, [((0.0, 200), 0, 100)])]
 
     def test_benchmark_grid_runs_in_process(self, calls):
         run_table(self.reference_grid(100), workers=2)
-        assert calls == [(1, [(k, 0, 100) for k in range(30)])]
+        assert calls == [(1, [(unit, 0, 100) for unit in self.UNITS])]
 
     def test_reference_grid_starts_pool(self, calls):
         run_table(self.reference_grid(10_000), workers=2)
-        # 30 cells outnumber four blocks per process: one block each
-        assert calls == [(2, [(k, 0, 10_000) for k in range(30)])]
+        # 10 units outnumber four blocks per process: one block each
+        assert calls == [(2, [(unit, 0, 10_000) for unit in self.UNITS])]
 
     def test_large_cell_starts_pool(self, calls):
         run_cell(0.5, 200, 0.1, 34, reps=10_000, seed=1, workers=2)
@@ -479,23 +548,26 @@ class TestPoolRule:
 
     def test_one_worker_never_pools(self, calls):
         run_table(self.reference_grid(10_000), workers=1)
-        assert calls == [(1, [(k, 0, 10_000) for k in range(30)])]
+        assert calls == [(1, [(unit, 0, 10_000) for unit in self.UNITS])]
 
     def test_many_degrees_at_small_n_run_in_process(self, calls):
         # 4000 * 5 * (14 + 1 + 1000) = 2.03e7 kernel units, below the threshold
         degree_sweep(0.5, 5, 0.5, 1, 1000, reps=4000, seed=1, workers=2)
-        assert calls == [(1, [(0, 0, 4000)])]
+        assert calls == [(1, [((0.5, 5), 0, 4000)])]
 
     def test_threshold_is_the_work_estimate(self, monkeypatch):
         # reps * n * (RANK_COST + 1 + degrees) units: 250 per replicate here
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mc, "RANK_COST", 20)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 2500)
-        cells = [(0.5, 10, 0.5, [4, 5, 6, 7], 0)]
-        assert mc._processes(cells, 10, 8) == 2
-        assert mc._processes(cells, 9, 8) == 1
-        assert mc._processes(cells * 2, 5, 8) == 2  # summed over cells
-        assert mc._processes(cells, 10, 1) == 1
+        units = [(0.5, 10, ((0.5, (4, 5, 6, 7)),))]
+        assert mc._processes(units, 10, 8) == 2
+        assert mc._processes(units, 9, 8) == 1
+        assert mc._processes(units * 2, 5, 8) == 2  # summed over units
+        two_cells = [(0.5, 10, ((0.5, (4, 5)), (0.1, (6,))))]  # 3 + 2 tables
+        assert mc._processes(two_cells, 10, 8) == 2
+        assert mc._processes(two_cells, 9, 8) == 1
+        assert mc._processes(units, 10, 1) == 1
 
 
 def loop_stats(x, true_rho):
@@ -522,12 +594,14 @@ class TestSummaryReduction:
         assert cell.mse_reduction_pct == 100.0 * (1.0 - mse_b / mse_e)
 
 
-def stream_sample(theta, n, seed, cell_index, rep):
+def stream_sample(theta, n, seed, rep):
     """Replicate rep's sample, rebuilt with the public sampler's formula: its
-    stream chunk rep // 64 first draws u and t for each earlier replicate in
-    it; the sample is the pairs (sort(u)_j, v_j) with v = from_uniforms(
-    sort(u), t), listed in increasing v."""
-    seq = np.random.SeedSequence(seed, spawn_key=(cell_index, rep // 64))
+    stream chunk rep // 64, keyed by theta + 0.0's IEEE-754 bits and n, first
+    draws u and t for each earlier replicate in it; the sample is the pairs
+    (sort(u)_j, v_j) with v = from_uniforms(sort(u), t), listed in
+    increasing v."""
+    [bits] = struct.unpack("<Q", struct.pack("<d", theta + 0.0))
+    seq = np.random.SeedSequence(seed, spawn_key=(bits, n, rep // 64))
     rng = np.random.default_rng(seq)
     rng.random(2 * n * (rep % 64))
     u = np.sort(rng.random(n))
@@ -536,11 +610,11 @@ def stream_sample(theta, n, seed, cell_index, rep):
     return u[order], v[order]
 
 
-def kernel(cell, seed, start, stop):
-    """`mc._replicate_block` on replicates [start, stop) of `cell`, with the
-    cell's score tables."""
-    _, n, p, m_values, _ = cell
-    return mc._replicate_block((cell, mc._score_tables(n, p, m_values), seed, start, stop))
+def kernel(unit, seed, start, stop):
+    """`mc._replicate_block` on replicates [start, stop) of the (theta, n,
+    ((p, degrees), ...)) `unit`, with the unit's score tables."""
+    _, n, cells = unit
+    return mc._replicate_block((unit, mc._score_tables(n, cells), seed, start, stop))
 
 
 class TestKernelMatchesPublicApi:
@@ -555,14 +629,19 @@ class TestKernelMatchesPublicApi:
          for n, start in [(1, 64), (2, 64), (50, 64), (20_000, 128)]],
     )
     def test_every_replicate(self, n, start, stop):
-        theta, p, seed, cell_index = 0.5, 0.9, 11, 4
-        m_values = [1, rule_of_thumb_degree(n), n + 7]
-        emp, bern = kernel((theta, n, p, m_values, cell_index), seed, start, stop)
+        theta, seed = 0.5, 11
+        m_values = (1, rule_of_thumb_degree(n), n + 7)
+        cells = ((0.9, m_values), (0.3, m_values[1:]))  # two cells share each sample
+        integrals = kernel((theta, n, cells), seed, start, stop)
         for i, rep in enumerate(range(start, stop)):
-            x, y = stream_sample(theta, n, seed, cell_index, rep)
+            x, y = stream_sample(theta, n, seed, rep)
             ps = pseudo_observations(x, y, denominator="n+1")
-            assert emp[i] == rho_hat_empirical(ps, p).value
-            assert bern[i].tolist() == [rho_hat_bernstein(ps, p, m).value for m in m_values]
+            assert integrals[i].tolist() == [
+                result.integral
+                for p, degrees in cells
+                for result in [rho_hat_empirical(ps, p)]
+                + [rho_hat_bernstein(ps, p, m) for m in degrees]
+            ]
 
 
 class TestChunking:
@@ -571,13 +650,11 @@ class TestChunking:
     @pytest.mark.parametrize("n, m_values", [(1, [1]), (9, [1, 4, 16]), (50, [13])])
     @pytest.mark.parametrize("rows", [1, 7])
     def test_chunk_size_leaves_bits(self, monkeypatch, n, m_values, rows):
-        args = ((-0.5, n, 0.5, m_values, 3), 17, 64, 84)
-        emp, bern = kernel(*args)
+        args = ((-0.5, n, ((0.5, tuple(m_values)),)), 17, 64, 84)
+        values = kernel(*args)
         assert mc.CHUNK // n >= 20  # the default runs this block as one chunk
         monkeypatch.setattr(mc, "CHUNK", rows * n)
-        chunked_emp, chunked_bern = kernel(*args)
-        assert chunked_emp.tolist() == emp.tolist()
-        assert chunked_bern.tolist() == bern.tolist()
+        assert kernel(*args).tolist() == values.tolist()
 
 
 class TestScoreTables:
@@ -609,22 +686,39 @@ class TestScoreTables:
 
         score_tables = mc._score_tables
 
-        def counted(n, p, m_values):
-            built.append((n, p))
-            return score_tables(n, p, m_values)
+        def counted(n, cells):
+            built.append((n, cells))
+            return score_tables(n, cells)
 
         monkeypatch.setattr(mc, "_pool_map", map_in_this_thread)
         monkeypatch.setattr(mc, "_score_tables", counted)
-        grid = [(0.5, 20, 0.5, [4, 9], 0), (-1.0, 20, 0.1, [4, 9], 1)]
+        grid = [(0.5, 20, 0.5, [4, 9]), (-1.0, 20, 0.1, [4, 9])]
         pooled = mc._simulate(grid, 1000, 3, 2)
         [(processes, tasks, largest)] = jobs
         assert (processes, tasks) == (2, 8) and largest < 200  # bytes per task
-        assert built == [(20, 0.5), (20, 0.1)]
+        # units run in the order of their tables: p = 0.1 first
+        assert built == [(20, ((0.1, (4, 9)),)), (20, ((0.5, (4, 9)),))]
         assert mc._thread.tables is None
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 10**9)
         for (rho, emp, bern), (rho1, emp1, bern1) in zip(pooled, mc._simulate(grid, 1000, 3, 2)):
             assert (rho, emp.tolist(), bern.tolist()) == (rho1, emp1.tolist(), bern1.tolist())
         assert jobs[1][:2] == (1, 2)
+
+    def test_units_of_equal_tables_share_a_build(self, monkeypatch):
+        # the in-process reference grid's 10 units need one build per n
+        built = []
+        score_tables = mc._score_tables
+
+        def counted(n, cells):
+            built.append(n)
+            return score_tables(n, cells)
+
+        monkeypatch.setattr(mc, "_score_tables", counted)
+        config = ExperimentConfig(
+            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(50, 200), ps=(0.1, 0.5, 1.0), reps=100
+        )
+        run_table(config, workers=1)
+        assert built == [50, 200]
 
 
 def in_new_thread(fn):
@@ -641,7 +735,7 @@ class TestWorkArrays:
         sizes = (200, 7, 1000, 1, 50)
 
         def block(n):
-            return joined([kernel((0.5, n, 0.5, [1, 3 * n], 1), 5, 0, 70)])
+            return kernel((0.5, n, ((0.5, (1, 3 * n)),)), 5, 0, 70).tolist()
 
         def blocks():
             values, kept = [], []
@@ -659,14 +753,15 @@ class TestWorkArrays:
     def test_threads_keep_their_own(self):
         # more threads than CPUs, switching often, each running blocks of
         # several sizes: a set shared between threads would mix their rows
-        cells = [(0.5, n, 0.5, [1, 2 * n], k) for k, n in enumerate((20, 300, 3, 80) * 3)]
-        serial = [joined([kernel(cell, 9, 0, 90)]) for cell in cells]
+        units = [(theta, n, ((0.5, (1, 2 * n)),))
+                 for theta in (0.5, -0.5, 1.0) for n in (20, 300, 3, 80)]
+        serial = [kernel(unit, 9, 0, 90).tolist() for unit in units]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(kernel, cell, 9, 0, 90) for cell in cells]
-                threaded = [joined([future.result(timeout=60)]) for future in futures]
+                futures = [pool.submit(kernel, unit, 9, 0, 90) for unit in units]
+                threaded = [future.result(timeout=60).tolist() for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
@@ -679,7 +774,7 @@ class TestWorkArrays:
 
         def kept_after(small_first):
             if small_first:
-                kernel((0.5, 50, 0.5, [13], 0), 1, 0, 10)
+                kernel((0.5, 50, ((0.5, (13,)),)), 1, 0, 10)
             large_cell()
             return getattr(mc._thread, "work", None)
 
@@ -690,18 +785,10 @@ class TestWorkArrays:
         assert max(work.flat.size, work.sorted.size, work.products.size) == mc.CHUNK
 
 
-def joined(blocks):
-    """The (emp, bern) values of consecutive blocks, as lists."""
-    return (
-        np.concatenate([emp for emp, _ in blocks]).tolist(),
-        np.concatenate([bern for _, bern in blocks]).tolist(),
-    )
-
-
 class TestStreams:
-    """Replicate r of a cell draws from stream chunk r // 64 (mc.STREAM);
-    how the replicates are cut into blocks, kernel chunks and workers
-    changes no bit."""
+    """Replicate r of a (theta, n) draws from stream chunk r // 64
+    (mc.STREAM); how the replicates are cut into blocks, kernel chunks and
+    workers changes no bit."""
 
     def test_stream_is_fixed(self):
         assert mc.STREAM == 64
@@ -709,26 +796,25 @@ class TestStreams:
     # n = 2000 > CHUNK / 64: at the default CHUNK a stream spans kernel chunks
     @pytest.mark.parametrize("n", [40, 2000])
     def test_block_starts_and_chunks_leave_bits(self, monkeypatch, n):
-        cell = (0.5, n, 0.5, [1, rule_of_thumb_degree(n)], 2)
-        whole = joined([kernel(cell, 7, 0, 150)])
+        unit = (0.5, n, ((0.5, (1, rule_of_thumb_degree(n))),))
+        whole = kernel(unit, 7, 0, 150).tolist()
         for cuts in ([0, 64, 128, 150], [0, 128, 150], [0, 64, 150]):
-            blocks = [kernel(cell, 7, a, b) for a, b in zip(cuts, cuts[1:])]
-            assert joined(blocks) == whole
+            blocks = [kernel(unit, 7, a, b) for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate(blocks).tolist() == whole
         # kernel chunks of 1 and 7 rows hold part of a stream, of 100 rows
         # parts of two streams, of 150 rows the whole block
         for rows in (1, 7, 100, 150):
             monkeypatch.setattr(mc, "CHUNK", rows * n + n // 2)
-            assert joined([kernel(cell, 7, 0, 150)]) == whole
+            assert kernel(unit, 7, 0, 150).tolist() == whole
 
     @pytest.fixture
     def spans(self, monkeypatch):
-        """Records every task's (cell index, start, stop); computes nothing."""
+        """Records every task's (n, start, stop); computes nothing."""
         record = []
 
         def fake_pool_map(fn, tasks, workers):
-            record.extend((cell[4], start, stop) for cell, _, start, stop in tasks)
-            return [(np.zeros(stop - start), np.zeros((stop - start, len(cell[3]))))
-                    for cell, _, start, stop in tasks]
+            record.extend((unit[1], start, stop) for unit, _, start, stop in tasks)
+            return [np.zeros((stop - start, mc._width(unit[2]))) for unit, _, start, stop in tasks]
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
@@ -737,10 +823,10 @@ class TestStreams:
     @pytest.mark.parametrize("cells, processes", [(1, 1), (1, 2), (1, 8), (30, 2), (7, 8)])
     def test_blocks_start_at_stream_multiples(self, monkeypatch, spans, reps, cells, processes):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: processes)
-        grid = [(0.5, 20, 0.5, [4], k) for k in range(cells)]
+        grid = [(0.5, 20 + k, 0.5, [4]) for k in range(cells)]  # one unit per cell
         mc._simulate(grid, reps, 1, processes)
         for k in range(cells):
-            cuts = [(start, stop) for cell, start, stop in spans if cell == k]
+            cuts = [(start, stop) for n, start, stop in spans if n == 20 + k]
             assert all(start % mc.STREAM == 0 for start, _ in cuts)
             assert [start for start, _ in cuts] == [0] + [stop for _, stop in cuts[:-1]]
             assert cuts[-1][1] == reps
@@ -748,12 +834,12 @@ class TestStreams:
     def test_hundred_replicates_make_two_blocks(self, monkeypatch, spans):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)  # pooled, however small
-        mc._simulate([(0.5, 20, 0.5, [4], 0)], 100, 1, 2)
-        assert spans == [(0, 0, 64), (0, 64, 100)]
+        mc._simulate([(0.5, 20, 0.5, [4])], 100, 1, 2)
+        assert spans == [(20, 0, 64), (20, 64, 100)]
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_counts_leave_bits(self, monkeypatch, workers):
-        grid = [(0.5, 30, 0.5, [9], 0), (-1.0, 12, 1.0, [1, 5], 1)]
+        grid = [(0.5, 30, 0.5, [9]), (-1.0, 12, 1.0, [1, 5]), (0.5, 30, 0.1, [2, 9])]
         serial = mc._simulate(grid, 300, 5, 1)
         # as many usable CPUs as workers, served in this process, and a pool
         # for this small job
@@ -772,7 +858,7 @@ class TestStreams:
     def test_misaligned_block_rejected(self, start):
         message = f"replicate block starts at {start}, not a multiple of STREAM=64"
         with pytest.raises(ValueError, match=message):
-            kernel((0.5, 20, 0.5, [4], 0), 1, start, start + 10)
+            kernel((0.5, 20, ((0.5, (4,)),)), 1, start, start + 10)
 
 
 class TestBatchedChecks:

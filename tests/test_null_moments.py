@@ -85,14 +85,14 @@ def test_bernstein_score_variance_deficit_is_kappa_over_m(p, m):
     deficit = kappa - m * (normalizer(p) - spread)
     assert 0.0 <= deficit <= 0.06 / math.sqrt(m)
 
-# The theta = 0 cells of the reference grid, with their grid positions, so
-# their replicate streams are the reference table's first REPS replicates.
+# The theta = 0 cells of the reference grid: their replicate streams are
+# keyed by (theta, n), so they are the reference table's first REPS replicates.
 REFERENCE = ExperimentConfig(
     thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(50, 200), ps=(0.1, 0.5, 1.0), reps=4000
 )
 NULL_CELLS = [
-    (theta, n, p, [REFERENCE.degree_for(n)], index)
-    for index, (theta, n, p) in enumerate(REFERENCE.cells())
+    (theta, n, p, [REFERENCE.degree_for(n)])
+    for theta, n, p in REFERENCE.cells()
     if theta == 0.0
 ]
 
@@ -104,7 +104,7 @@ def null_runs():
         (n, p): (m, emp, bern[:, 0], mc._summary(
             0.0, n, p, m, mc._stats(emp, truth), mc._stats(bern[:, 0], truth)
         ))
-        for (_, n, p, [m], _), (truth, emp, bern) in zip(NULL_CELLS, values)
+        for (_, n, p, [m]), (truth, emp, bern) in zip(NULL_CELLS, values)
     }
 
 
