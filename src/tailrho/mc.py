@@ -40,22 +40,23 @@ checks both sorted margins with `pseudo_observations`' own checks
 thread keeps one set of work arrays (the draws, v's flat sort indices, the
 sorted v and one table's products, with room for CHUNK values each) for all
 its later chunks, blocks and jobs; a block with n > CHUNK allocates its own
-and drops it.  A thread keeps the score tables (see `_score_tables`) of its
-last block's unit for its next blocks, so a process builds a unit's tables
-at most once per job and holds one unit's tables at a time; units run in
-the order of their tables, so units of equal tables follow each other.
+and drops it.  A job builds the score tables (see `_score_tables`) of each
+distinct (n, ((p, degrees), ...)) once, before any block runs, and every
+block of those cells reads them.
 
 Every entry point (a grid, one cell, a degree sweep) runs its units as
 replicate blocks on one path.  A job whose estimated work (reps * n *
 (RANK_COST + score tables), summed over its units; no clock) is below
-POOL_MIN_WORK runs in this process, one block per unit, since a process
-pool costs more to start than it would save.  A larger job cuts its units
-into about four blocks per process and sends all of them through one
-process pool, so a single cell uses every CPU too.  Either way the
-summaries are reduced in this process, and the numbers do not depend on
-the choice.  Worker count: pass `workers` explicitly, or set
-TAILRHO_THREADS (0 or unset means one worker per usable CPU).  No more
-processes start than the CPUs this process may run on.
+POOL_MIN_WORK runs in the calling thread, one block per unit, since a
+thread pool would cost more than it saves.  A larger job cuts its units
+into about four blocks per thread and runs all of them on one thread pool,
+so a single cell uses every CPU too: numpy's sorts, gathers and arithmetic
+release the GIL.  Either way each block writes its corner integrals into
+its own rows of the job's result slots, the summaries are reduced in the
+calling thread, and the numbers do not depend on the choice.  Worker count:
+pass `workers` explicitly, or set TAILRHO_THREADS (0 or unset means one
+thread per usable CPU).  No more threads start than the CPUs this process
+may run on.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 
 from .asympt import rule_of_thumb_degree
 from .copula import _check_sorted
-from .estimators import bernstein_scores, empirical_scores, tail_rho
+from .estimators import bernstein_scores, empirical_scores, normalizer
 from .fgm import FgmModel
 from .special import MAX_DEGREE, _check_degree, tail_weights
 
@@ -103,32 +104,29 @@ CHUNK = 2**16
 # block must start at a multiple of it.
 STREAM = 64
 
-# The pool rule (see `_processes`).  A job's kernel work is estimated, with
-# no clock, as the sum over its (theta, n) units of reps * n * (RANK_COST +
-# the unit's score tables): one work unit is one sample value's share of a
-# rank integral over one score table, and RANK_COST prices the draws, the
-# FGM inversion and the ranks in those work units.  A job whose kernel work
-# is below POOL_MIN_WORK runs in this process, since a pool would cost more
-# than it saves.  Both are measured on a 2-CPU x86-64 machine: RANK_COST
-# from the kernel's time per replicate with 0 and 60 score tables, (t0 /
-# ((t60 - t0) / 60) / n) - 1 over blocks of two kernel chunks (13-15 at
-# n = 50, 200 and 1000, one work unit about 4 ns); POOL_MIN_WORK where two
-# processes started to beat one: 1.3-2.6e7 work units for single cells and
-# sweeps, 2.4-3.6e7 for 30-cell grids (about 100 ms of work).  Rechecked
-# with each table built once per process: grids win at 3.6e7, 60-degree
-# sweeps at n = 200 tie at 4.5e7 and a 1000-degree sweep at n = 5 from 2e7
-# to 5.1e7.  Rechecked with the thresholds of a (theta, n) sharing its
-# samples: the reference grid pools worse at 2.5e7 (1000 replicates) and
-# better from 3.1e7.  The two CPUs' parallel capacity varied from run to
-# run, so these crossings are approximate; below the threshold a pool would
-# save at most about 10%, above it a grid would lose up to half.
-RANK_COST = 14
-POOL_MIN_WORK = 25 * 10**6
+# The pool rule (see `_threads`).  A job's kernel work is estimated, with no
+# clock, as the sum over its (theta, n) units of reps * n * (RANK_COST + the
+# unit's score tables): one work unit is one sample value's share of a rank
+# integral over one score table, and RANK_COST prices the draws, the FGM
+# inversion and the ranks in those work units.  A job whose kernel work is
+# below POOL_MIN_WORK runs in the calling thread.  Work that holds the GIL
+# or that threads do not shorten is why a pool pays later than the estimate
+# suggests: the per-chunk Python loop, the per-table `_rank_sums` calls and
+# their column writes (most of a table's cost on short rows), and, in the
+# calling thread either way, the table builds and `_stats`' fsum.  Measured
+# on a 2-CPU x86-64 machine: RANK_COST as t1 / ((t61 - t1) / 60) - 1 over
+# one block of two kernel chunks with 1 and 61 score tables (18-25 at n =
+# 50, 200 and 1000); POOL_MIN_WORK where two threads began to beat one
+# (forced pool, alternating rounds): 0.5-1e7 work units for one n = 200
+# cell, 1.2-1.7e7 for 60-degree sweeps at n = 200, 4.4-7e7 for the 30-cell
+# reference grid and 4-5e7 for a 1000-degree sweep at n = 5 (a tie up to
+# 10000 replicates, 1.3x at 20000).  The crossings moved from run to run.
+RANK_COST = 22
+POOL_MIN_WORK = 40 * 10**6
 
-# Most values a job's result slots and score tables may hold (800 MB of
-# float64): reps per score table summed over the cells, and in each process
-# one unit's score tables, n + 2 values each, counted for the largest unit.
-# A pool starts no more processes than it leaves room for.
+# Most values a job may hold (800 MB of float64): its result slots, reps per
+# score table summed over the cells, plus n + 2 values for every score table
+# of every distinct (n, ((p, degrees), ...)), the tables the job builds.
 MAX_SLOTS = 10**8
 
 THREADS_ENV = "TAILRHO_THREADS"
@@ -204,7 +202,7 @@ class CellSummary:
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else TAILRHO_THREADS (0 = one per
-    usable CPU).  Returned as requested; `_pool_map` caps the processes."""
+    usable CPU).  Returned as requested; `_pool_map` caps the threads."""
     if workers is None:
         raw = os.environ.get(THREADS_ENV, "0")
         try:
@@ -223,31 +221,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_map(fn, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], in a pool of at most `workers` processes,
-    one per task and one per usable CPU; in this process if that is one."""
+def _pool_map(fn, tasks: list, workers: int) -> None:
+    """fn(task) for every task, on at most `workers` threads, one per task and
+    one per usable CPU; in the calling thread if that is one.  The first
+    failing task's exception is re-raised."""
     workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
-        return [fn(task) for task in tasks]
-    # imported here: loading multiprocessing costs every command line start
-    from concurrent.futures import ProcessPoolExecutor
+        for task in tasks:
+            fn(task)
+        return
+    # imported here: loading the executor costs every command line start
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(fn, tasks):
+            pass
 
 
-def _processes(units: list[tuple], reps: int, workers: int) -> int:
-    """Processes a job runs on: `workers` capped at the usable CPUs, or one if
+def _threads(units: list[tuple], reps: int, workers: int) -> int:
+    """Threads a job runs on: `workers` capped at the usable CPUs, or one if
     the job's kernel work is below POOL_MIN_WORK."""
-    processes = min(workers, _usable_cpus())
+    threads = min(workers, _usable_cpus())
     work = reps * sum(n * (RANK_COST + _width(cells)) for _, n, cells in units)
-    return 1 if work < POOL_MIN_WORK else processes
+    return 1 if work < POOL_MIN_WORK else threads
 
 
-def _pooled_block(reps: int, units: int, processes: int) -> int:
-    """Replicates per block of a pooled job: about four blocks per process
-    for the whole job, rounded up to a multiple of STREAM, at most a unit."""
-    block = -(-reps * units // (4 * processes))
+def _pooled_block(reps: int, units: int, threads: int) -> int:
+    """Replicates per block of a pooled job: about four blocks per thread for
+    the whole job, rounded up to a multiple of STREAM, at most a unit."""
+    block = -(-reps * units // (4 * threads))
     return min(reps, -(-block // STREAM) * STREAM)
 
 
@@ -257,10 +259,10 @@ def _width(cells: tuple) -> int:
     return sum(1 + len(m_values) for _, m_values in cells)
 
 
-def _replicate_block(args) -> np.ndarray:
-    """Run replicates [start, stop) of one (theta, n, cells) unit; returns
-    their corner integrals, one row per replicate and one column per score
-    table.
+def _replicate_block(args) -> None:
+    """Run replicates [start, stop) of one (theta, n, cells) unit with the
+    unit's score `tables`; writes their corner integrals into `out`, one row
+    per replicate and one column per score table.
 
     start must be a multiple of STREAM.  The replicates run in kernel chunks
     of max(1, CHUNK // n).  A chunk's (rows, 2, n) uniforms (u, then t, of
@@ -277,13 +279,12 @@ def _replicate_block(args) -> np.ndarray:
     numbers).  A failure is re-raised with the unit's theta, n and every p
     of its cells attached.
     """
-    (theta, n, cells), tables, seed, start, stop = args
+    (theta, n, cells), tables, seed, start, stop, out = args
     if start % STREAM:
         raise ValueError(f"replicate block starts at {start}, not a multiple of STREAM={STREAM}")
     try:
         model = FgmModel(theta)
         key = (int(np.float64(theta + 0.0).view(np.uint64)), n)
-        integrals = np.empty((stop - start, len(tables)))
         rows = max(1, CHUNK // n)
         work = _work_arrays(min(rows, stop - start) * n)
         offsets = np.arange(0, rows * n, n)[:, None]
@@ -305,13 +306,12 @@ def _replicate_block(args) -> np.ndarray:
             sorted_v = np.take(v, flat, out=work.sorted[:size].reshape(hi - lo, n), mode="clip")
             _check_sorted(u, sorted_v)
             products = work.products[:size].reshape(hi - lo, n)
-            chunk = integrals[lo - start : hi - start]
+            chunk = out[lo - start : hi - start]
             for j, scores in enumerate(tables):
                 chunk[:, j] = _rank_sums(scores, order, products)
     except Exception as exc:
         ps = ",".join(str(p) for p, _ in cells)
         raise RuntimeError(f"simulation cell (theta={theta}, n={n}, p={ps}) failed: {exc}") from exc
-    return integrals
 
 
 class _WorkArrays:
@@ -366,18 +366,6 @@ def _score_tables(n: int, cells: tuple) -> np.ndarray:
     return tables
 
 
-def _cell_block(task) -> np.ndarray:
-    """`_replicate_block` of a (unit, seed, start, stop) task.  The thread
-    keeps the score tables it built last, for blocks of equal (n, cells)."""
-    unit, seed, start, stop = task
-    key = unit[1:]  # (n, ((p, degrees), ...))
-    held = getattr(_thread, "tables", None)
-    if held is None or held[0] != key:
-        _thread.tables = None  # let the last unit's tables go first
-        held = _thread.tables = (key, _score_tables(*key))
-    return _replicate_block((unit, held[1], seed, start, stop))
-
-
 def _true_rho(theta: float, n: int, p: float) -> float:
     """Check one cell's inputs; returns its true tail rho."""
     if not 1 <= n <= MAX_N:
@@ -394,13 +382,13 @@ def _simulate(
     m_values.  The reps, the seed, every cell and then the job's MAX_SLOTS
     bound are checked before any work.  The cells of equal (theta, n) form
     one unit, in the order of first appearance, which draws each sample
-    once for all of them.  A job that runs in this process (see
-    `_processes`) makes one block per unit; a pooled job cuts each unit
-    into replicate blocks (see `_pooled_block`), never spanning two units.
-    Blocks run in the order of their units' score tables, so a thread
-    builds a run of units with equal tables once.  Each block's corner
-    integrals land in its unit's slots, and each cell's columns then get
-    `tail_rho` with the cell's p.
+    once for all of them.  A job that runs in the calling thread (see
+    `_threads`) makes one block per unit; a pooled job cuts each unit into
+    replicate blocks (see `_pooled_block`), never spanning two units.  The
+    score tables of each distinct (n, ((p, degrees), ...)) are built once,
+    before any block runs.  Each block writes its corner integrals into its
+    rows of its unit's slots, and each cell's columns then get `tail_rho`
+    with the cell's p, in place.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -414,35 +402,32 @@ def _simulate(
         (*cells[ks[0]][:2], tuple((cells[k][2], tuple(cells[k][3])) for k in ks))
         for ks in members.values()
     ]
+    keys = dict.fromkeys(unit[1:] for unit in units)  # (n, ((p, degrees), ...))
     widths = [_width(unit_cells) for _, _, unit_cells in units]
-    results = reps * sum(widths)
-    tables = max((n + 2) * width for (_, n, _), width in zip(units, widths))  # per process
-    if results + tables > MAX_SLOTS:
+    size = reps * sum(widths) + sum((n + 2) * _width(key_cells) for n, key_cells in keys)
+    if size > MAX_SLOTS:
         raise ValueError(
-            f"{results + tables} result slots and score-table entries exceed {MAX_SLOTS}"
-            " (reps per score table, plus n + 2 per score table of the largest (theta, n))"
+            f"{size} result slots and score-table entries exceed {MAX_SLOTS}"
+            " (reps per score table, plus n + 2 per score table the job builds)"
         )
-    processes = min(_processes(units, reps, workers), (MAX_SLOTS - results) // tables)
-    block = reps if processes == 1 else _pooled_block(reps, len(units), processes)
-    spans = [
-        (u, start, min(start + block, reps))
-        for u in sorted(range(len(units)), key=lambda u: units[u][1:])
+    threads = _threads(units, reps, workers)
+    block = reps if threads == 1 else _pooled_block(reps, len(units), threads)
+    tables = {key: _score_tables(*key) for key in keys}
+    slots = [np.empty((reps, width)) for width in widths]
+    tasks = [
+        (unit, tables[unit[1:]], seed, start, min(start + block, reps), slot[start : start + block])
+        for unit, slot in zip(units, slots)
         for start in range(0, reps, block)
     ]
-    tasks = [(units[u], seed, start, stop) for u, start, stop in spans]
-    slots = [np.empty((reps, width)) for width in widths]
-    try:
-        blocks = _pool_map(_cell_block, tasks, processes)
-    finally:
-        _thread.tables = None
-    for (u, start, stop), integrals in zip(spans, blocks):
-        slots[u][start:stop] = integrals
+    _pool_map(_replicate_block, tasks, threads)
     out = [None] * len(cells)
     for ks, slot in zip(members.values(), slots):
         col = 0
         for k in ks:
             _, _, p, m_values = cells[k]
-            values = tail_rho(slot[:, col : col + 1 + len(m_values)], p)
+            values = slot[:, col : col + 1 + len(m_values)]
+            values -= p * p * p * p / 4.0  # tail_rho, in place
+            values /= normalizer(p)
             out[k] = (truths[k], values[:, 0], values[:, 1:])
             col += 1 + len(m_values)
     return out

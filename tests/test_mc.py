@@ -1,9 +1,10 @@
 import concurrent.futures
 import dataclasses
 import math
-import pickle
 import struct
 import sys
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -293,7 +294,7 @@ class TestSlotBound:
         def past_the_check(*args):
             raise AssertionError("past the check")
 
-        monkeypatch.setattr(mc, "_processes", past_the_check)
+        monkeypatch.setattr(mc, "_threads", past_the_check)
 
     def test_bound_counts_every_score_table(self, past_the_check):
         # 1 + 60 tables per replicate, each also holding n + 2 = 12 scores:
@@ -316,8 +317,9 @@ class TestSlotBound:
             degree_sweep(0.0, n, 0.5, 1, 98, reps=reps, seed=1, workers=2)
 
     def test_bound_counts_one_cells_tables(self, past_the_check):
-        # a process holds one (theta, n) unit's tables at a time: the 20 cells
-        # at n = 10^7 fit with 4 * 2 * (10^7 + 2) scores, not 5 times that
+        # a job builds the tables of each distinct (n, ((p, degrees), ...))
+        # once: the 5 thetas' units at n = 10^7 share one set of 4 * 2 tables,
+        # so the 20 cells fit with 8 * (10^7 + 2) scores, not 5 times that
         config = ExperimentConfig(
             thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(10**7,), ps=(0.1, 0.2, 0.5, 1.0),
             degree_rule=1, reps=100, seed=1,
@@ -334,24 +336,37 @@ class TestSlotBound:
         with pytest.raises(ValueError, match=f"{10 * (1 + 10**7 + 2)} result slots"):
             run_table(config, workers=2)
 
-    @pytest.mark.parametrize("degrees, processes", [(60, 1), (40, 2), (10, 8)])
-    def test_pool_fits_the_bound(self, monkeypatch, degrees, processes):
-        # at n = 10^6 each process holds its cell's 1 + degrees tables of
-        # 10^6 + 2 scores: a pool starts no more processes than fit in
-        # MAX_SLOTS next to the result slots
+    @pytest.mark.parametrize("degrees", [60, 40, 10])
+    def test_pool_fits_the_bound(self, monkeypatch, degrees):
+        # at n = 10^6 the cell's 1 + degrees tables of 10^6 + 2 scores are
+        # built once and read by every thread: the bound holds them once,
+        # whatever the thread count, and the job runs on all 8 threads
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
-        started = []
+        started, tables = [], []
 
-        def fake_pool_map(fn, tasks, processes):
-            started.append(processes)
-            return [np.zeros((stop - start, 1 + degrees)) for _, _, start, stop in tasks]
+        def fake_pool_map(fn, tasks, threads):
+            started.append(threads)
+            for task in tasks:
+                tables.append(id(task[1]))
+                task[-1][:] = 0.0
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         degree_sweep(0.5, 10**6, 0.5, 1, degrees, reps=1000, seed=1, workers=8)
-        results, tables = 1000 * (1 + degrees), (1 + degrees) * (10**6 + 2)
-        assert started == [processes]
-        assert results + processes * tables <= mc.MAX_SLOTS
-        assert processes == 8 or results + (processes + 1) * tables > mc.MAX_SLOTS
+        assert started == [8]
+        assert len(tables) == 16 and len(set(tables)) == 1  # blocks of 64
+        assert 1000 * (1 + degrees) + (1 + degrees) * (10**6 + 2) <= mc.MAX_SLOTS
+
+    def test_peak_is_the_result_slots(self):
+        # a 1000-degree cell at n = 5 holds its results once: they are
+        # written in place, so the job's peak is about its slots
+        reps = 4000
+        tracemalloc.start()
+        try:
+            mc._simulate([(0.5, 5, 0.5, range(1, 1001))], reps, 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * reps * 1001 * 8
 
 
 class TestReplicateCount:
@@ -389,6 +404,14 @@ class TestFailureContext:
             run_table(config, workers=1)
         assert isinstance(info.value.__cause__, FloatingPointError)
 
+    def test_pooled(self, monkeypatch):
+        # a block that fails on a pool thread fails the job, named
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
+        with pytest.raises(RuntimeError, match=self.CONTEXT) as info:
+            run_cell(0.5, 20, 0.25, 7, reps=500, seed=1, workers=2)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
     def test_unit_names_every_threshold(self):
         config = ExperimentConfig(thetas=(0.5,), ns=(20,), ps=(0.25, 1.0), reps=5, seed=1)
         context = r"simulation cell \(theta=0.5, n=20, p=0.25,1.0\) failed: sampler broke"
@@ -397,7 +420,8 @@ class TestFailureContext:
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ThreadPoolExecutor: records max_workers, runs in this
+    thread."""
 
     started: list[int] = []
 
@@ -414,10 +438,6 @@ class RecordingExecutor:
         return map(fn, tasks)
 
 
-def negate(x):
-    return -x
-
-
 class TestPoolCap:
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -425,7 +445,7 @@ class TestPoolCap:
         however small; yields the record."""
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "started", [])
         return RecordingExecutor.started
 
@@ -448,12 +468,16 @@ class TestPoolCap:
         [(8, 10, [3]), (2, 10, [2]), (8, 2, [2]), (1, 10, []), (8, 1, [])],
     )
     def test_processes_capped(self, pool, workers, tasks, started):
-        assert mc._pool_map(negate, list(range(tasks)), workers) == [-t for t in range(tasks)]
+        done = []
+        assert mc._pool_map(done.append, list(range(tasks)), workers) is None
+        assert done == list(range(tasks))
         assert pool == started
 
     def test_single_usable_cpu_runs_in_process(self, pool, monkeypatch):
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert mc._pool_map(negate, [1, 2, 3], 4) == [-1, -2, -3]
+        done = []
+        mc._pool_map(done.append, [1, 2, 3], 4)
+        assert done == [1, 2, 3]
         assert pool == []
 
     def test_auto_count_is_usable_cpus(self, pool, monkeypatch):
@@ -471,7 +495,7 @@ class TestPoolCap:
 
     def test_blocks_sized_from_started_processes(self, pool, task_counts):
         wide = degree_sweep(0.5, 15, 0.5, 1, 4, reps=1000, seed=3, workers=64)
-        assert task_counts == [8]  # four blocks for each of the two processes
+        assert task_counts == [8]  # four blocks for each of the two threads
         assert wide == degree_sweep(0.5, 15, 0.5, 1, 4, reps=1000, seed=3, workers=2)
         assert task_counts == [8, 8]
         assert pool == [2, 2]
@@ -481,8 +505,8 @@ class TestPoolCap:
             thetas=(0.5,), ns=(15,), ps=(0.5,), degree_rule=4, reps=100, seed=3
         )
         wide = run_table(config, workers=2)
-        # four blocks per process would hold 13 replicates; rounded up to a
-        # stream chunk of 64, the 100 replicates make one block per process
+        # four blocks per thread would hold 13 replicates; rounded up to a
+        # stream chunk of 64, the 100 replicates make one block per thread
         assert task_counts == [2]
         assert pool == [2]
         assert wide == [run_cell(0.5, 15, 0.5, 4, reps=100, seed=3, workers=1)]
@@ -500,18 +524,19 @@ class TestPoolCap:
 class TestPoolRule:
     """A job starts a pool only when its estimated work reaches POOL_MIN_WORK;
     the choice depends on the job's shape and the worker count alone, and a
-    job run in this process makes one block per (theta, n) unit."""
+    job run in the calling thread makes one block per (theta, n) unit."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Two usable CPUs; records every _pool_map call's process count and
+        """Two usable CPUs; records every _pool_map call's thread count and
         ((theta, n), start, stop) spans, and computes nothing."""
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         record = []
 
-        def fake_pool_map(fn, tasks, processes):
-            record.append((processes, [(unit[:2], start, stop) for unit, _, start, stop in tasks]))
-            return [np.zeros((stop - start, mc._width(unit[2]))) for unit, _, start, stop in tasks]
+        def fake_pool_map(fn, tasks, threads):
+            record.append((threads, [(unit[:2], start, stop) for unit, _, _, start, stop, _ in tasks]))
+            for task in tasks:
+                task[-1][:] = 0.0
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
@@ -522,8 +547,8 @@ class TestPoolRule:
             reps=reps, seed=42,
         )
 
-    # the reference grid's 10 units in the order of their tables: n = 50 first
-    UNITS = [(theta, n) for n in (50, 200) for theta in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    # the reference grid's 10 units in the order of first appearance
+    UNITS = [(theta, n) for theta in (-1.0, -0.5, 0.0, 0.5, 1.0) for n in (50, 200)]
 
     # the benchmark's workloads (perfbench/workloads.py): a 60-degree sweep
     # at n = 200 and the reference grid, 100 replicates each
@@ -535,25 +560,30 @@ class TestPoolRule:
         run_table(self.reference_grid(100), workers=2)
         assert calls == [(1, [(unit, 0, 100) for unit in self.UNITS])]
 
+    def test_thousand_replicate_grid_runs_in_process(self, calls):
+        # 1000 * 5 * (50 + 200) * (RANK_COST + 6) = 3.5e7 kernel units
+        run_table(self.reference_grid(1000), workers=2)
+        assert calls == [(1, [(unit, 0, 1000) for unit in self.UNITS])]
+
     def test_reference_grid_starts_pool(self, calls):
         run_table(self.reference_grid(10_000), workers=2)
-        # 10 units outnumber four blocks per process: one block each
+        # 10 units outnumber four blocks per thread: one block each
         assert calls == [(2, [(unit, 0, 10_000) for unit in self.UNITS])]
 
     def test_large_cell_starts_pool(self, calls):
         run_cell(0.5, 200, 0.1, 34, reps=10_000, seed=1, workers=2)
         [(processes, spans)] = calls
         assert processes == 2
-        assert len(spans) == 8  # four blocks per process
+        assert len(spans) == 8  # four blocks per thread
 
     def test_one_worker_never_pools(self, calls):
         run_table(self.reference_grid(10_000), workers=1)
         assert calls == [(1, [(unit, 0, 10_000) for unit in self.UNITS])]
 
     def test_many_degrees_at_small_n_run_in_process(self, calls):
-        # 4000 * 5 * (14 + 1 + 1000) = 2.03e7 kernel units, below the threshold
-        degree_sweep(0.5, 5, 0.5, 1, 1000, reps=4000, seed=1, workers=2)
-        assert calls == [(1, [((0.5, 5), 0, 4000)])]
+        # 7500 * 5 * (22 + 1 + 1000) = 3.8e7 kernel units, below the threshold
+        degree_sweep(0.5, 5, 0.5, 1, 1000, reps=7500, seed=1, workers=2)
+        assert calls == [(1, [((0.5, 5), 0, 7500)])]
 
     def test_threshold_is_the_work_estimate(self, monkeypatch):
         # reps * n * (RANK_COST + 1 + degrees) units: 250 per replicate here
@@ -561,13 +591,13 @@ class TestPoolRule:
         monkeypatch.setattr(mc, "RANK_COST", 20)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 2500)
         units = [(0.5, 10, ((0.5, (4, 5, 6, 7)),))]
-        assert mc._processes(units, 10, 8) == 2
-        assert mc._processes(units, 9, 8) == 1
-        assert mc._processes(units * 2, 5, 8) == 2  # summed over units
+        assert mc._threads(units, 10, 8) == 2
+        assert mc._threads(units, 9, 8) == 1
+        assert mc._threads(units * 2, 5, 8) == 2  # summed over units
         two_cells = [(0.5, 10, ((0.5, (4, 5)), (0.1, (6,))))]  # 3 + 2 tables
-        assert mc._processes(two_cells, 10, 8) == 2
-        assert mc._processes(two_cells, 9, 8) == 1
-        assert mc._processes(units, 10, 1) == 1
+        assert mc._threads(two_cells, 10, 8) == 2
+        assert mc._threads(two_cells, 9, 8) == 1
+        assert mc._threads(units, 10, 1) == 1
 
 
 def loop_stats(x, true_rho):
@@ -612,9 +642,13 @@ def stream_sample(theta, n, seed, rep):
 
 def kernel(unit, seed, start, stop):
     """`mc._replicate_block` on replicates [start, stop) of the (theta, n,
-    ((p, degrees), ...)) `unit`, with the unit's score tables."""
+    ((p, degrees), ...)) `unit`, with the unit's score tables; returns the
+    corner integrals it writes."""
     _, n, cells = unit
-    return mc._replicate_block((unit, mc._score_tables(n, cells), seed, start, stop))
+    tables = mc._score_tables(n, cells)
+    out = np.empty((stop - start, len(tables)))
+    mc._replicate_block((unit, tables, seed, start, stop, out))
+    return out
 
 
 class TestKernelMatchesPublicApi:
@@ -674,15 +708,16 @@ class TestScoreTables:
         assert sorted(calls) == list(range(1, 61))
 
     def test_kept_across_a_threads_blocks(self, monkeypatch):
-        # a pooled job whose 8 blocks all run in this thread builds each
-        # cell's tables once, sends none in its tasks, and lets them go after
+        # a pooled job builds each unit's tables once, before its 8 blocks
+        # run, and every block of the unit reads that one array
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
         jobs, built = [], []
 
-        def map_in_this_thread(fn, tasks, processes):
-            jobs.append((processes, len(tasks), max(len(pickle.dumps(t)) for t in tasks)))
-            return [fn(task) for task in tasks]
+        def map_in_this_thread(fn, tasks, threads):
+            jobs.append((threads, len(tasks), {id(task[1]) for task in tasks}))
+            for task in tasks:
+                fn(task)
 
         score_tables = mc._score_tables
 
@@ -694,11 +729,9 @@ class TestScoreTables:
         monkeypatch.setattr(mc, "_score_tables", counted)
         grid = [(0.5, 20, 0.5, [4, 9]), (-1.0, 20, 0.1, [4, 9])]
         pooled = mc._simulate(grid, 1000, 3, 2)
-        [(processes, tasks, largest)] = jobs
-        assert (processes, tasks) == (2, 8) and largest < 200  # bytes per task
-        # units run in the order of their tables: p = 0.1 first
-        assert built == [(20, ((0.1, (4, 9)),)), (20, ((0.5, (4, 9)),))]
-        assert mc._thread.tables is None
+        [(threads, tasks, tables)] = jobs
+        assert (threads, tasks, len(tables)) == (2, 8, 2)
+        assert built == [(20, ((0.5, (4, 9)),)), (20, ((0.1, (4, 9)),))]
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 10**9)
         for (rho, emp, bern), (rho1, emp1, bern1) in zip(pooled, mc._simulate(grid, 1000, 3, 2)):
             assert (rho, emp.tolist(), bern.tolist()) == (rho1, emp1.tolist(), bern1.tolist())
@@ -719,6 +752,32 @@ class TestScoreTables:
         )
         run_table(config, workers=1)
         assert built == [50, 200]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_built_once_per_key_and_job(self, monkeypatch, workers):
+        # the 30-cell grid has two distinct (n, ((p, degrees), ...)) keys: one
+        # build each, in the calling thread and on a real pool of two threads
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
+        built, threads = [], set()
+        score_tables, replicate_block = mc._score_tables, mc._replicate_block
+
+        def counted(n, cells):
+            built.append(n)
+            return score_tables(n, cells)
+
+        def recorded(task):
+            threads.add(threading.get_ident())
+            replicate_block(task)
+
+        monkeypatch.setattr(mc, "_score_tables", counted)
+        monkeypatch.setattr(mc, "_replicate_block", recorded)
+        config = ExperimentConfig(
+            thetas=(-1.0, -0.5, 0.0, 0.5, 1.0), ns=(50, 200), ps=(0.1, 0.5, 1.0), reps=100
+        )
+        run_table(config, workers=workers)
+        assert built == [50, 200]
+        assert (threading.get_ident() in threads) == (workers == 1)
 
 
 def in_new_thread(fn):
@@ -813,8 +872,9 @@ class TestStreams:
         record = []
 
         def fake_pool_map(fn, tasks, workers):
-            record.extend((unit[1], start, stop) for unit, _, start, stop in tasks)
-            return [np.zeros((stop - start, mc._width(unit[2]))) for unit, _, start, stop in tasks]
+            record.extend((unit[1], start, stop) for unit, _, _, start, stop, _ in tasks)
+            for task in tasks:
+                task[-1][:] = 0.0
 
         monkeypatch.setattr(mc, "_pool_map", fake_pool_map)
         return record
@@ -845,10 +905,38 @@ class TestStreams:
         # for this small job
         monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "started", [])
         wide = mc._simulate(grid, 300, 5, workers)
         assert RecordingExecutor.started == [workers]
+        for (truth, emp, bern), (wide_truth, wide_emp, wide_bern) in zip(serial, wide):
+            assert (truth, emp.tolist(), bern.tolist()) == (
+                wide_truth, wide_emp.tolist(), wide_bern.tolist()
+            )
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_real_threads_leave_bits(self, monkeypatch, workers):
+        # the same grid on a real thread pool, switching often; 8 threads run
+        # its 10 blocks, more threads than this machine may have CPUs
+        grid = [(0.5, 30, 0.5, [9]), (-1.0, 12, 1.0, [1, 5]), (0.5, 30, 0.1, [2, 9])]
+        serial = mc._simulate(grid, 300, 5, 1)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(mc, "POOL_MIN_WORK", 0)
+        threads = set()
+        replicate_block = mc._replicate_block
+
+        def recorded(task):
+            threads.add(threading.get_ident())
+            replicate_block(task)
+
+        monkeypatch.setattr(mc, "_replicate_block", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            wide = mc._simulate(grid, 300, 5, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threads and threading.get_ident() not in threads
         for (truth, emp, bern), (wide_truth, wide_emp, wide_bern) in zip(serial, wide):
             assert (truth, emp.tolist(), bern.tolist()) == (
                 wide_truth, wide_emp.tolist(), wide_bern.tolist()

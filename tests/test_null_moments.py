@@ -130,3 +130,33 @@ def test_null_cell_matches_exact_moments(null_runs, n, p, method):
     squares = (values - values.mean()) ** 2
     var_se = math.sqrt(squares.var(ddof=1) / reps)
     assert abs(var - variance) <= 5.0 * var_se
+
+
+@pytest.mark.parametrize("m", [300, 1000])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_variance_gain_is_order_one_over_n_m(p, m):
+    """At theta = 0 smoothing lowers the tail rho's variance by about
+    2 kappa / (N n m): n m (Var_bern - Var_emp) tends to -2 kappa / N =
+    -(12 - 8p) / (p (4 - 3p)) once p m >> 1, not like the 1/(n sqrt(m)) of
+    the pointwise variance gain.
+
+    Both variances are L^2 / ((n - 1) N^2), L the variance of the scores over
+    the ranks, and L_m = N - kappa/m + lambda/m^(3/2) + ... for the degree-m
+    scores.  So the relative gap to the limit is the m^(-1/2) correction,
+    below 0.06 / (kappa sqrt(m)) by the bound on lambda that
+    test_bernstein_score_variance_deficit_is_kappa_over_m pins (lambda/kappa
+    is about 0.57 at p = 0.5 and vanishes at p = 1); plus kappa / (2 m N)
+    from squaring L_m; plus the rank lattice's share, m / n, since each of
+    the m steps covers n/m ranks give or take one (measured at 0.6-0.9 m/n
+    for n = 10^5 and 10^6).  The gain always falls short of the limit.
+    """
+    n = 100_000
+    scale = normalizer(p)
+    kappa = p * p / 2 - p * p * p / 3
+    _, var_emp = null_moments(empirical_scores(n, p), n)
+    _, var_bern = null_moments(bernstein_scores(n, p, m), n)
+    gain = n * m * (var_bern - var_emp) / scale**2
+    limit = -(12 - 8 * p) / (p * (4 - 3 * p))
+    assert limit == pytest.approx(-2 * kappa / scale, rel=1e-12)
+    bound = 0.06 / (kappa * math.sqrt(m)) + kappa / (2 * m * scale) + m / n
+    assert 0.0 <= 1.0 - gain / limit <= bound
